@@ -4,8 +4,9 @@
 //! balance — classifying each kernel into the three scenarios of Sec. 8.2.
 //!
 //! Traces are generated at a scaled-down problem size with a proportionally
-//! scaled cache so the whole figure regenerates in seconds (see
-//! EXPERIMENTS.md); pass `--full` for larger instances.
+//! scaled cache so the whole figure regenerates in seconds (by default
+//! `n = 96`, tile 16, a 1024-word cache); pass `--full` for larger instances
+//! (`n = 256`, tile 32, 4096 words).
 
 use iolb_bench::{evaluate_suite, MACHINE_BALANCE};
 use iolb_core::tightness::achieved_oi;

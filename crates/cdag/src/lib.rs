@@ -39,8 +39,10 @@ pub struct Cdag {
 impl Cdag {
     /// Instantiates a DFG at concrete parameter values.
     ///
-    /// `bound` caps the per-dimension enumeration range (a safety net for
-    /// accidentally huge instances); keep parameters small (≤ ~20).
+    /// Vertices come from `BasicSet::enumerate` (the `iolb_poly::scan`
+    /// scanner); `bound` boxes every dimension into `[-bound, bound]` (a
+    /// safety net for accidentally huge instances). The edge pass tests
+    /// every (source, destination) pair, so keep parameters small (≤ ~20).
     pub fn instantiate(dfg: &Dfg, params: &[(&str, i128)], bound: i128) -> Cdag {
         let mut cdag = Cdag::default();
         // Vertices.
@@ -63,18 +65,19 @@ impl Cdag {
         // Edges.
         for edge in dfg.edges() {
             let src_node = dfg.node(&edge.src).expect("validated by builder");
+            let dst_node = dfg.node(&edge.dst).expect("validated by builder");
+            let dst_points = dst_node.domain.enumerate(params, bound);
             for src_point in src_node.domain.enumerate(params, bound) {
                 let src_idx = cdag.index[&Vertex {
                     statement: edge.src.clone(),
                     point: src_point.clone(),
                 }];
                 // Enumerate images of this source point.
-                let dst_node = dfg.node(&edge.dst).expect("validated by builder");
-                for dst_point in dst_node.domain.enumerate(params, bound) {
-                    if edge.relation.contains(&src_point, &dst_point, params) {
+                for dst_point in &dst_points {
+                    if edge.relation.contains(&src_point, dst_point, params) {
                         let dst_idx = cdag.index[&Vertex {
                             statement: edge.dst.clone(),
-                            point: dst_point,
+                            point: dst_point.clone(),
                         }];
                         cdag.preds[dst_idx].push(src_idx);
                         cdag.succs[src_idx].push(dst_idx);

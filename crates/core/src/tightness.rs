@@ -46,8 +46,10 @@ use crate::report::json_escape;
 use crate::workload::dfg_params;
 pub use iolb_cachesim::{simulate_lru, simulate_optimal, CacheStats};
 use iolb_dfg::Dfg;
-use iolb_math::Rational;
-use iolb_poly::{AffineFunction, BasicMap, BasicSet, EngineCtx, EngineInterrupt};
+use iolb_math::{lcm, Rational};
+use iolb_poly::fxhash::BuildFx;
+use iolb_poly::scan::{self, Row};
+use iolb_poly::{AffineFunction, BasicMap, ConstraintKind, EngineCtx, EngineInterrupt, ScanPlan};
 
 /// Default value assigned to every program parameter when no instance is
 /// supplied: small enough to simulate in milliseconds, large enough that
@@ -60,8 +62,8 @@ pub const DEFAULT_CACHE_WORDS: usize = 1024;
 /// Default trace-length budget (number of word accesses) per instance.
 pub const DEFAULT_MAX_TRACE: u64 = 4_000_000;
 
-/// Largest coordinate magnitude the walker will scan per dimension; an
-/// instance whose parameters exceed this degrades to a skipped entry.
+/// Largest coordinate magnitude the walker will scan per dimension: a
+/// derived loop range beyond it degrades the instance to a skipped entry.
 const MAX_ENUM_BOUND: i128 = 1 << 20;
 
 /// How the tightness pass is run: which instances, which cache sizes,
@@ -362,40 +364,62 @@ pub fn achieved_oi(trace: &[u64], ops: f64, cache_words: usize) -> f64 {
 // Trace generation
 // ---------------------------------------------------------------------------
 
-/// How one incoming dependence resolves a producer coordinate from a
-/// consumer coordinate.
+/// How one incoming dependence resolves its producer coordinate from a
+/// consumer point.
 enum Resolver {
-    /// The relation is reverse-functional: producer = f(consumer), guarded
-    /// by relation membership.
-    Function(AffineFunction),
-    /// General fallback: enumerate the (almost always zero- or one-point)
-    /// set of producers related to the consumer point.
-    Search,
+    /// The relation is reverse-functional: producer coordinate `j` is
+    /// `rows[j] · point / den` (no read when it is fractional), guarded by
+    /// the relation's rows composed with the function into rows over the
+    /// consumer point.
+    Function {
+        rows: Vec<Row>,
+        den: i128,
+        guard: Vec<Row>,
+    },
+    /// General fallback: scan the producers related to the consumer point,
+    /// which is the plan's fixed suffix.
+    Search(ScanPlan),
 }
 
-/// One incoming dependence of a statement, pre-resolved for the walk.
+/// One incoming dependence of a statement, compiled for the walk.
 struct ReadPlan {
     src_idx: usize,
-    relation: BasicMap,
     resolver: Resolver,
 }
 
-/// One statement of the walk: its domain and pre-resolved reads (the
-/// per-node collapse masks live in the shared `keeps` table).
+/// One statement of the walk: its domain scan and compiled reads.
 struct StatementPlan {
     node_idx: usize,
-    dims: usize,
-    domain: BasicSet,
+    domain: ScanPlan,
     ops_per_instance: u64,
     reads: Vec<ReadPlan>,
+}
+
+/// Exact packing of one node's memory cells into disjoint `u64` keys: a
+/// mixed-radix index over the kept (uncollapsed) dimensions, offset by the
+/// node's base.
+#[derive(Default)]
+struct CellKeys {
+    base: u64,
+    /// `(coordinate, lowest value, stride)` per kept dimension.
+    dims: Vec<(usize, i128, u64)>,
+}
+
+impl CellKeys {
+    #[inline]
+    fn key(&self, coords: &[i128]) -> u64 {
+        self.dims.iter().fold(self.base, |k, &(d, lo, stride)| {
+            k + (coords[d] - lo) as u64 * stride
+        })
+    }
 }
 
 /// A semantic signature for an edge's read side, independent of constraint
 /// declaration order: identical programs produce identical signatures, which
 /// keeps the read order (and hence first-touch addresses) byte-identical
 /// between a built-in kernel and its `.iolb` twin.
-fn read_signature(relation: &BasicMap) -> String {
-    match relation.as_function_of_range() {
+fn read_signature(relation: &BasicMap, function: Option<&AffineFunction>) -> String {
+    match function {
         Some(f) => {
             let mut s = String::from("fn:");
             for r in 0..f.constants.len() {
@@ -445,196 +469,221 @@ fn collapse_mask(dfg: &Dfg, name: &str, dims: usize) -> Vec<bool> {
     keep
 }
 
-fn collapse(coords: &[i128], keep: &[bool]) -> Vec<i128> {
-    coords
-        .iter()
-        .zip(keep)
-        .filter(|(_, &k)| k)
-        .map(|(&c, _)| c)
+/// `producer = f(consumer)` at the instance, as one integer row per producer
+/// coordinate over a common denominator (rows used as affine values, so
+/// their `kind` is unused).
+fn function_rows(f: &AffineFunction, env: &BTreeMap<String, i128>) -> (Vec<Row>, i128) {
+    let n_out = f.linear.num_cols();
+    let mut exact = Vec::with_capacity(f.constants.len());
+    let mut den = 1;
+    for j in 0..f.constants.len() {
+        let coeffs: Vec<Rational> = (0..n_out).map(|k| f.linear[(j, k)]).collect();
+        let mut constant = f.constants[j];
+        for (p, q) in &f.param_coeffs[j] {
+            constant += *q * Rational::from_int(env[p]);
+        }
+        for c in coeffs.iter().chain([&constant]) {
+            den = lcm(den, c.denom());
+        }
+        exact.push((coeffs, constant));
+    }
+    let scaled = |q: Rational| (q * Rational::from_int(den)).numer();
+    let rows = exact
+        .into_iter()
+        .map(|(coeffs, constant)| Row {
+            coeffs: coeffs.into_iter().map(scaled).collect(),
+            constant: scaled(constant),
+            kind: ConstraintKind::Inequality,
+        })
+        .collect();
+    (rows, den)
+}
+
+/// Substitutes `producer = rows · point / den` into the relation's rows
+/// (over `(producer, consumer)`), scaled by `den`: rows over the consumer
+/// point alone, equivalent wherever the producer is integral. Rows the
+/// consumer's domain already implies are dropped; `None` means the relation
+/// can never hold.
+fn compose_guard(relation: &[Row], rows: &[Row], den: i128, domain: &[Row]) -> Option<Vec<Row>> {
+    let n_in = rows.len();
+    let composed = relation.iter().map(|r| {
+        let mut out = Row {
+            coeffs: r.coeffs[n_in..].iter().map(|&c| c * den).collect(),
+            constant: r.constant * den,
+            kind: r.kind,
+        };
+        for (a, f) in r.coeffs[..n_in].iter().zip(rows) {
+            for (o, &c) in out.coeffs.iter_mut().zip(&f.coeffs) {
+                *o += a * c;
+            }
+            out.constant += a * f.constant;
+        }
+        out
+    });
+    let guard = scan::simplify(composed)?;
+    let implied = |g: &Row| {
+        domain.iter().any(|d| {
+            let sign = if d.coeffs == g.coeffs {
+                1
+            } else if d.kind == ConstraintKind::Equality
+                && d.coeffs.iter().zip(&g.coeffs).all(|(&x, &y)| x == -y)
+            {
+                -1
+            } else {
+                return false;
+            };
+            // On the domain, g(x) = sign·d(x) + slack.
+            let slack = g.constant - sign * d.constant;
+            match (d.kind, g.kind) {
+                (ConstraintKind::Equality, ConstraintKind::Equality) => slack == 0,
+                (ConstraintKind::Equality, ConstraintKind::Inequality) => slack >= 0,
+                (ConstraintKind::Inequality, ConstraintKind::Inequality) => slack >= 0,
+                (ConstraintKind::Inequality, ConstraintKind::Equality) => false,
+            }
+        })
+    };
+    Some(guard.into_iter().filter(|g| !implied(g)).collect())
+}
+
+/// Widens `acc` to cover `other` coordinate-wise.
+fn hull(acc: &mut Option<Vec<(i128, i128)>>, other: &[(i128, i128)]) {
+    match acc {
+        Some(cur) => {
+            for (c, &(lo, hi)) in cur.iter_mut().zip(other) {
+                *c = (c.0.min(lo), c.1.max(hi));
+            }
+        }
+        None => *acc = Some(other.to_vec()),
+    }
+}
+
+/// The coordinate box a function read can produce from consumer points in
+/// `consumer` (interval arithmetic; `None` when no coordinate is integral).
+fn image_box(rows: &[Row], den: i128, consumer: &[(i128, i128)]) -> Option<Vec<(i128, i128)>> {
+    rows.iter()
+        .map(|r| {
+            let (mut lo, mut hi) = (r.constant, r.constant);
+            for (&c, &(a, b)) in r.coeffs.iter().zip(consumer) {
+                lo += (c * a).min(c * b);
+                hi += (c * a).max(c * b);
+            }
+            let (lo, hi) = (-(-lo).div_euclid(den), hi.div_euclid(den));
+            (lo <= hi).then_some((lo, hi))
+        })
         .collect()
 }
 
-struct Walker<'a> {
+/// The scan box of a domain or producer search, checked against
+/// [`MAX_ENUM_BOUND`]: unbounded or oversized dimensions are errors.
+fn checked_box(
+    rows: &[Row],
+    dims: usize,
+    what: &str,
+) -> Result<Option<Vec<(i128, i128)>>, TraceError> {
+    let bbox = scan::bounding_box(rows, dims)
+        .map_err(|e| trace_err(format!("cannot enumerate {what}: {e}")))?;
+    if let Some(b) = &bbox {
+        if let Some(&(lo, hi)) = b
+            .iter()
+            .find(|&&(lo, hi)| lo < -MAX_ENUM_BOUND || hi > MAX_ENUM_BOUND)
+        {
+            return Err(trace_err(format!(
+                "instance too large to enumerate directly ({what} spans {lo}..={hi}, \
+                 beyond ±{MAX_ENUM_BOUND}); simulate at smaller parameter values"
+            )));
+        }
+    }
+    Ok(bbox)
+}
+
+struct Walker {
     engine: std::sync::Arc<EngineCtx>,
-    env: &'a BTreeMap<String, i128>,
-    params: &'a [(&'a str, i128)],
-    bound: i128,
     max_trace: u64,
     trace: Vec<u64>,
-    addresses: HashMap<(usize, Vec<i128>), u64>,
-    next_address: u64,
+    /// First-touch addresses by packed cell key. The keys are mixed-radix
+    /// indices the walker computes, not raw input, so Fx hashing is safe.
+    addresses: HashMap<u64, u64, BuildFx>,
     ops: f64,
     points: u64,
     truncated: bool,
     work: u32,
 }
 
-impl Walker<'_> {
-    /// Budget checkpoint, amortised over the hot loops.
-    fn tick(&mut self) {
+impl Walker {
+    /// Records one access to a packed cell key, assigning first-touch
+    /// sequential addresses; polls the budget every 1024 accesses.
+    #[inline]
+    fn touch(&mut self, key: u64) {
         self.work = self.work.wrapping_add(1);
         if self.work.is_multiple_of(1024) {
             self.engine.checkpoint_poll();
         }
-    }
-
-    /// Records one access to `(node, cell)`, assigning first-touch
-    /// sequential addresses.
-    fn touch(&mut self, node_idx: usize, cell: Vec<i128>) {
         if self.trace.len() as u64 >= self.max_trace {
             self.truncated = true;
             return;
         }
-        let next = &mut self.next_address;
-        let addr = *self.addresses.entry((node_idx, cell)).or_insert_with(|| {
-            let a = *next;
-            *next += 1;
-            a
-        });
+        let next = self.addresses.len() as u64;
+        let addr = *self.addresses.entry(key).or_insert(next);
         self.trace.push(addr);
     }
 
-    /// Emits the accesses of one dynamic statement instance.
-    fn visit_point(&mut self, st: &StatementPlan, keeps: &[Vec<bool>], point: &[i128]) {
-        for read in &st.reads {
-            match &read.resolver {
-                Resolver::Function(f) => {
-                    if let Some(src) = eval_affine(f, point, self.env) {
-                        if read.relation.contains(&src, point, self.params) {
-                            let cell = collapse(&src, &keeps[read.src_idx]);
-                            self.touch(read.src_idx, cell);
-                        }
-                    }
-                }
-                Resolver::Search => {
-                    let n_in = read.relation.n_in();
-                    let mut src = vec![0i128; n_in];
-                    self.search_sources(read, point, &mut src, 0, keeps);
-                }
-            }
-            if self.truncated {
-                return;
-            }
-        }
-        self.touch(st.node_idx, collapse(point, &keeps[st.node_idx]));
-        self.ops += st.ops_per_instance as f64;
-        self.points += 1;
-    }
-
-    /// Fallback read resolution: enumerate producer coordinates related to
-    /// the fixed consumer `point`, pruning constraints as soon as every
-    /// producer dimension they mention is bound.
-    fn search_sources(
-        &mut self,
-        read: &ReadPlan,
-        point: &[i128],
-        src: &mut Vec<i128>,
-        depth: usize,
-        keeps: &[Vec<bool>],
-    ) {
-        let n_in = src.len();
-        if depth == n_in {
-            let mut vars = src.clone();
-            vars.extend_from_slice(point);
-            if read
-                .relation
-                .constraints()
-                .iter()
-                .all(|c| c.holds(&vars, self.env))
-            {
-                let cell = collapse(src, &keeps[read.src_idx]);
-                self.touch(read.src_idx, cell);
-            }
-            return;
-        }
-        for v in -self.bound..=self.bound {
-            self.tick();
-            if self.truncated {
-                return;
-            }
-            src[depth] = v;
-            let mut vars = src.clone();
-            vars[depth + 1..n_in].fill(0);
-            vars.extend_from_slice(point);
-            let feasible = read.relation.constraints().iter().all(|c| {
-                if c.expr.var_coeffs[depth + 1..n_in].iter().any(|&x| x != 0) {
-                    true // mentions an unbound producer dimension: defer
-                } else {
-                    c.holds(&vars, self.env)
-                }
-            });
-            if feasible {
-                self.search_sources(read, point, src, depth + 1, keeps);
-            }
-        }
-    }
-
-    /// Enumerates a statement's domain in ascending lexicographic order,
-    /// visiting each point; prunes a prefix as soon as some constraint over
-    /// already-bound dimensions fails.
-    fn enumerate_statement(
+    /// Emits the accesses of one dynamic statement instance; `false` once
+    /// the trace budget is exhausted.
+    fn visit(
         &mut self,
         st: &StatementPlan,
-        keeps: &[Vec<bool>],
-        point: &mut Vec<i128>,
-        depth: usize,
-    ) {
-        if self.truncated {
-            return;
-        }
-        if depth == st.dims {
-            self.visit_point(st, keeps, point);
-            return;
-        }
-        for v in -self.bound..=self.bound {
-            self.tick();
-            if self.truncated {
-                return;
-            }
-            point[depth] = v;
-            point[depth + 1..].fill(0);
-            let feasible = st.domain.constraints().iter().all(|c| {
-                if c.expr.var_coeffs[depth + 1..].iter().any(|&x| x != 0) {
-                    true
-                } else {
-                    c.holds(point, self.env)
+        keys: &[CellKeys],
+        point: &[i128],
+        src: &mut Vec<i128>,
+        buf: &mut Vec<i128>,
+    ) -> bool {
+        for read in &st.reads {
+            let cells = &keys[read.src_idx];
+            match &read.resolver {
+                Resolver::Function { rows, den, guard } => {
+                    if !guard.iter().all(|g| g.holds(point)) {
+                        continue;
+                    }
+                    src.clear();
+                    for r in rows {
+                        let acc = r.eval(point);
+                        if acc % den != 0 {
+                            break;
+                        }
+                        src.push(acc / den);
+                    }
+                    if src.len() == rows.len() {
+                        self.touch(cells.key(src));
+                    }
                 }
-            });
-            if feasible {
-                self.enumerate_statement(st, keeps, point, depth + 1);
+                Resolver::Search(plan) => {
+                    plan.scan(point, buf, |s| {
+                        self.touch(cells.key(s));
+                        !self.truncated
+                    });
+                }
+            }
+            if self.truncated {
+                return false;
             }
         }
+        self.touch(keys[st.node_idx].key(point));
+        self.ops += st.ops_per_instance as f64;
+        self.points += 1;
+        !self.truncated
     }
-}
-
-/// Evaluates `producer = f(consumer)` in exact rationals; `None` when some
-/// coordinate is fractional (no integer producer point).
-fn eval_affine(
-    f: &AffineFunction,
-    point: &[i128],
-    env: &BTreeMap<String, i128>,
-) -> Option<Vec<i128>> {
-    let mut out = Vec::with_capacity(f.constants.len());
-    for r in 0..f.constants.len() {
-        let mut acc = f.constants[r];
-        for (c, &x) in point.iter().enumerate() {
-            acc += f.linear[(r, c)] * Rational::new(x, 1);
-        }
-        for (p, q) in &f.param_coeffs[r] {
-            let v = env.get(p)?;
-            acc += *q * Rational::new(*v, 1);
-        }
-        if !acc.is_integer() {
-            return None;
-        }
-        out.push(acc.floor());
-    }
-    Some(out)
 }
 
 /// Generates the canonical statement-major address trace of `dfg` at
 /// `instance`. Honours the ambient session's budget checkpoints; a walk
 /// longer than `max_trace` accesses returns with `truncated = true`.
+///
+/// The walk is compiled once per instance: parameter values are folded into
+/// integer rows, every domain (and every producer search) becomes a
+/// [`ScanPlan`] with exact loop bounds, functional reads become integer rows
+/// with their relation composed into a guard over the consumer point, and
+/// memory cells pack into exact `u64` keys. A scanned dimension that is
+/// unbounded or exceeds `±MAX_ENUM_BOUND` at the instance is an error.
 pub fn generate_trace(
     dfg: &Dfg,
     instance: &Instance,
@@ -654,32 +703,18 @@ pub fn generate_trace(
             }
         }
     }
+    let pairs: Vec<(&str, i128)> = env.iter().map(|(k, &v)| (k.as_str(), v)).collect();
+    let fold = |constraints: &[iolb_poly::Constraint]| {
+        scan::instantiate(constraints, &pairs).map_err(|e| trace_err(e.to_string()))
+    };
 
-    // Coordinates are bounded by affine combinations of the parameters and
-    // the constraint constants; the sum of magnitudes (plus slack) bounds
-    // every feasible coordinate the pruned scan can reach.
-    let mut bound: i128 = env.values().map(|v| v.abs()).sum();
-    for node in dfg.nodes() {
-        for c in node.domain.constraints() {
-            bound = bound.max(c.expr.constant.abs());
-        }
-    }
-    bound += 2;
-    if bound > MAX_ENUM_BOUND {
-        return Err(trace_err(format!(
-            "instance too large to enumerate directly (coordinate bound {bound} > {MAX_ENUM_BOUND}); \
-             simulate at smaller parameter values"
-        )));
-    }
-
-    let node_index: BTreeMap<&str, usize> = dfg
-        .nodes()
+    let nodes = dfg.nodes();
+    let node_index: BTreeMap<&str, usize> = nodes
         .iter()
         .enumerate()
         .map(|(i, n)| (n.name.as_str(), i))
         .collect();
-    let keeps: Vec<Vec<bool>> = dfg
-        .nodes()
+    let keeps: Vec<Vec<bool>> = nodes
         .iter()
         .map(|n| {
             if n.is_input {
@@ -690,65 +725,132 @@ pub fn generate_trace(
         })
         .collect();
 
+    // Per-node coordinate boxes: statement domains plus every read image.
+    let mut boxes: Vec<Option<Vec<(i128, i128)>>> = vec![None; nodes.len()];
     let mut plans: Vec<StatementPlan> = Vec::new();
-    for (idx, node) in dfg.nodes().iter().enumerate() {
+    for (idx, node) in nodes.iter().enumerate() {
         if node.is_input {
             continue;
         }
+        let what = format!("statement `{}`", node.name);
+        let domain_rows = fold(node.domain.constraints())?;
+        let Some(domain_box) = checked_box(&domain_rows, node.domain.dim(), &what)? else {
+            continue; // no points at this instance
+        };
+        hull(&mut boxes[idx], &domain_box);
+        let domain_norm = scan::simplify(domain_rows.iter().cloned()).unwrap_or_default();
+
         let mut reads: Vec<(String, ReadPlan)> = Vec::new();
         for edge in dfg.edges().iter().filter(|e| e.dst == node.name) {
             let src_idx = *node_index
                 .get(edge.src.as_str())
                 .ok_or_else(|| trace_err(format!("edge from unknown node `{}`", edge.src)))?;
-            let resolver = match edge.relation.as_function_of_range() {
-                Some(f) => Resolver::Function(f),
-                None => Resolver::Search,
+            let function = edge.relation.as_function_of_range();
+            let key = format!(
+                "{}\u{0}{}",
+                edge.src,
+                read_signature(&edge.relation, function.as_ref())
+            );
+            let relation_rows = fold(edge.relation.constraints())?;
+            let resolver = match &function {
+                Some(f) => {
+                    let (rows, den) = function_rows(f, &env);
+                    let Some(guard) = compose_guard(&relation_rows, &rows, den, &domain_norm)
+                    else {
+                        continue; // the relation never holds at this instance
+                    };
+                    if let Some(image) = image_box(&rows, den, &domain_box) {
+                        hull(&mut boxes[src_idx], &image);
+                    }
+                    Resolver::Function { rows, den, guard }
+                }
+                None => {
+                    // Producers of in-domain consumers: the consumer's domain
+                    // rows bound the fixed suffix for the scan box.
+                    let n_in = edge.relation.n_in();
+                    let mut rows = relation_rows;
+                    rows.extend(domain_rows.iter().map(|r| {
+                        let mut coeffs = vec![0; n_in];
+                        coeffs.extend_from_slice(&r.coeffs);
+                        Row {
+                            coeffs,
+                            ..r.clone()
+                        }
+                    }));
+                    let what = format!("producers of `{}` read by `{}`", edge.src, node.name);
+                    if let Some(image) = checked_box(&rows, n_in, &what)? {
+                        hull(&mut boxes[src_idx], &image);
+                    }
+                    let plan = ScanPlan::new(rows, n_in)
+                        .map_err(|e| trace_err(format!("cannot enumerate {what}: {e}")))?;
+                    Resolver::Search(plan)
+                }
             };
-            let key = format!("{}\u{0}{}", edge.src, read_signature(&edge.relation));
-            reads.push((
-                key,
-                ReadPlan {
-                    src_idx,
-                    relation: edge.relation.clone(),
-                    resolver,
-                },
-            ));
+            reads.push((key, ReadPlan { src_idx, resolver }));
         }
         reads.sort_by(|a, b| a.0.cmp(&b.0));
+        let domain = ScanPlan::new(domain_rows, node.domain.dim())
+            .map_err(|e| trace_err(format!("cannot enumerate {what}: {e}")))?;
         plans.push(StatementPlan {
             node_idx: idx,
-            dims: node.domain.dim(),
-            domain: node.domain.clone(),
+            domain,
             ops_per_instance: node.ops_per_instance,
             reads: reads.into_iter().map(|(_, r)| r).collect(),
         });
     }
 
-    let borrowed: Vec<(&str, i128)> = env.iter().map(|(k, &v)| (k.as_str(), v)).collect();
+    // Lay the nodes' cell spaces end to end in one u64 key space.
+    let too_large = || {
+        trace_err(
+            "instance too large to enumerate directly (cell key space exceeds 64 bits); \
+             simulate at smaller parameter values",
+        )
+    };
+    let mut keys: Vec<CellKeys> = Vec::with_capacity(nodes.len());
+    let mut next_base: u64 = 0;
+    for (bbox, keep) in boxes.iter().zip(&keeps) {
+        let Some(bbox) = bbox else {
+            keys.push(CellKeys::default());
+            continue;
+        };
+        let mut cells = CellKeys {
+            base: next_base,
+            dims: Vec::new(),
+        };
+        let mut stride: u64 = 1;
+        for (d, &(lo, hi)) in bbox.iter().enumerate().rev() {
+            if keep[d] {
+                cells.dims.push((d, lo, stride));
+                let span = u64::try_from(hi - lo + 1).map_err(|_| too_large())?;
+                stride = stride.checked_mul(span).ok_or_else(too_large)?;
+            }
+        }
+        next_base = next_base.checked_add(stride).ok_or_else(too_large)?;
+        keys.push(cells);
+    }
+
     let mut walker = Walker {
         engine: EngineCtx::current(),
-        env: &env,
-        params: &borrowed,
-        bound,
         max_trace,
         trace: Vec::new(),
-        addresses: HashMap::new(),
-        next_address: 0,
+        addresses: HashMap::default(),
         ops: 0.0,
         points: 0,
         truncated: false,
         work: 0,
     };
+    let (mut src, mut search_buf, mut domain_buf) = (Vec::new(), Vec::new(), Vec::new());
     for st in &plans {
-        let mut point = vec![0i128; st.dims];
-        walker.enumerate_statement(st, &keeps, &mut point, 0);
+        st.domain.scan(&[], &mut domain_buf, |point| {
+            walker.visit(st, &keys, point, &mut src, &mut search_buf)
+        });
         if walker.truncated {
             break;
         }
     }
 
     Ok(GeneratedTrace {
-        distinct_addresses: walker.next_address,
+        distinct_addresses: walker.addresses.len() as u64,
         trace: walker.trace,
         ops: walker.ops,
         points: walker.points,

@@ -2,6 +2,7 @@
 
 use crate::affine::{Constraint, ConstraintKind, LinExpr};
 use crate::fm;
+use crate::scan::{self, ScanPlan};
 use crate::set::Set;
 use crate::space::Space;
 use std::collections::BTreeMap;
@@ -311,48 +312,34 @@ impl BasicSet {
         Set::from_basic_sets(self.space.clone(), vec![self.clone()])
     }
 
-    /// Enumerates all integer points for concrete parameter values.
+    /// Enumerates all integer points for concrete parameter values, in
+    /// ascending lexicographic order, through the concrete scanner
+    /// ([`crate::scan`]). `bound` boxes every dimension into
+    /// `[-bound, bound]`; points outside the box are not returned.
     ///
-    /// Intended for small instances (validation against the explicit CDAG);
-    /// `bound` caps each dimension's search range as a safety net.
+    /// # Panics
+    ///
+    /// Panics if a constraint mentions a parameter missing from `params`,
+    /// or if the boxed system cannot be planned (a projection overflows
+    /// `i128` or outgrows the scanner's row budget).
     pub fn enumerate(&self, params: &[(&str, i128)], bound: i128) -> Vec<Vec<i128>> {
-        let env: BTreeMap<String, i128> = params.iter().map(|(k, v)| (k.to_string(), *v)).collect();
-        let mut out = Vec::new();
-        let mut point = vec![0i128; self.dim()];
-        self.enumerate_rec(0, &mut point, &env, bound, &mut out);
-        out
-    }
-
-    fn enumerate_rec(
-        &self,
-        depth: usize,
-        point: &mut Vec<i128>,
-        env: &BTreeMap<String, i128>,
-        bound: i128,
-        out: &mut Vec<Vec<i128>>,
-    ) {
-        if depth == self.dim() {
-            if self.constraints.iter().all(|c| c.holds(point, env)) {
-                out.push(point.clone());
-            }
-            return;
-        }
-        for v in -bound..=bound {
-            point[depth] = v;
-            // Cheap partial pruning: check constraints that only involve
-            // dimensions <= depth.
-            let ok = self.constraints.iter().all(|c| {
-                if c.expr.var_coeffs[depth + 1..].iter().any(|&x| x != 0) {
-                    true
-                } else {
-                    c.holds(point, env)
-                }
-            });
-            if ok {
-                self.enumerate_rec(depth + 1, point, env, bound, out);
+        let n = self.dim();
+        let mut rows = scan::instantiate(&self.constraints, params)
+            .unwrap_or_else(|e| panic!("cannot enumerate {self}: {e}"));
+        for d in 0..n {
+            for sign in [1, -1] {
+                let mut coeffs = vec![0; n];
+                coeffs[d] = sign;
+                rows.push(scan::Row {
+                    coeffs,
+                    constant: bound,
+                    kind: ConstraintKind::Inequality,
+                });
             }
         }
-        point[depth] = 0;
+        ScanPlan::new(rows, n)
+            .unwrap_or_else(|e| panic!("cannot enumerate {self}: {e}"))
+            .points(&[])
     }
 }
 

@@ -30,6 +30,17 @@ impl FxHasher64 {
     }
 }
 
+impl Default for FxHasher64 {
+    /// The first [`Fingerprint`] pass's seed and multiplier.
+    fn default() -> Self {
+        FxHasher64::with_seed(0x243F_6A88_85A3_08D3, 0x9E37_79B9_7F4A_7C15)
+    }
+}
+
+/// `BuildHasher` for a default-seeded [`FxHasher64`]: cheap hashing for maps
+/// keyed by small integers (the tightness walker's packed cell keys).
+pub type BuildFx = std::hash::BuildHasherDefault<FxHasher64>;
+
 impl Hasher for FxHasher64 {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {

@@ -20,6 +20,11 @@
 //!   closure;
 //! * [`count`] — symbolic cardinality via iterated Faulhaber summation (exact
 //!   on affine loop-nest domains);
+//! * [`scan`] — the concrete-instance scanner: parameter values folded into
+//!   integer rows, exact per-depth loop bounds by Fourier–Motzkin
+//!   projection, and a lexicographic point walk (optionally with a fixed
+//!   suffix of bound dimensions) — the one enumerator behind
+//!   [`BasicSet::enumerate`], the explicit CDAG and the tightness walker;
 //! * [`parse_set`] / [`parse_map`] — a parser for the ISL-like notation used
 //!   throughout the paper, so kernels and tests read like the paper's figures.
 //!
@@ -59,6 +64,7 @@ pub mod interner;
 pub mod map;
 pub mod parser;
 pub mod redundancy;
+pub mod scan;
 pub mod set;
 pub mod space;
 pub mod stats;
@@ -71,5 +77,6 @@ pub use count::Context;
 pub use engine::{EngineConfig, EngineCtx, EngineGuard};
 pub use map::Map;
 pub use parser::{parse_map, parse_set, ParseError};
+pub use scan::{ScanError, ScanPlan};
 pub use set::{Set, UnionSet};
 pub use space::Space;

@@ -10,7 +10,8 @@
 //! Traces are generated at a scaled-down problem size with a proportionally
 //! scaled fast memory so that whole-suite simulation stays fast; because the
 //! comparison is between intensities (flops per word), the scaling preserves
-//! the qualitative picture (see EXPERIMENTS.md).
+//! the qualitative picture (the `figure6` bin of `iolb-bench` documents the
+//! sizes it uses).
 
 use iolb_cachesim::TraceBuilder;
 
