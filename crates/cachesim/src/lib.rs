@@ -9,10 +9,31 @@
 //! (what a real cache does) or Belady/optimal replacement (what an explicitly
 //! managed scratchpad could achieve). The simulator consumes a word-granular
 //! address trace and reports the number of loads from slow memory.
+//!
+//! A [`DenseTrace`] renumbers a trace's addresses once into dense ids; every
+//! simulation from it then indexes flat arrays and hashes nothing. LRU keeps
+//! an O(1) doubly linked recency list, and Belady a lazily pruned heap of
+//! next uses. Simulating several cache sizes or both policies from one
+//! `DenseTrace` pays the renumbering once; [`simulate_lru`] and
+//! [`simulate_optimal`] are the one-shot forms.
+//!
+//! ```
+//! use iolb_cachesim::{simulate_lru, simulate_optimal, DenseTrace};
+//! // Cycling over 3 words through a 2-word fast memory: LRU always evicts
+//! // the word needed next, Belady keeps one of them.
+//! let cycle: Vec<u64> = (0..4).flat_map(|_| [10, 20, 30]).collect();
+//! assert_eq!(simulate_lru(&cycle, 2).misses, 12);
+//! assert_eq!(simulate_optimal(&cycle, 2).misses, 7);
+//! let prepared = DenseTrace::new(&cycle);
+//! assert_eq!(prepared.lru(2), simulate_lru(&cycle, 2));
+//! assert_eq!(prepared.optimal(3).misses, prepared.distinct());
+//! ```
 
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::cell::OnceCell;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Statistics of one simulation run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -46,135 +67,256 @@ impl CacheStats {
     }
 }
 
-/// A fully-associative LRU fast memory of `capacity` words.
+/// A multiply-rotate hasher (the `FxHash` construction) with a final
+/// avalanche, for the renumbering map: its keys are word addresses, and
+/// SipHash there would cost more than the simulation it feeds.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // Spread the high product bits into the low ones the table indexes
+        // by, so strided addresses do not share buckets.
+        let x = self.0 ^ (self.0 >> 33);
+        let x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        x ^ (x >> 33)
+    }
+}
+
+type BuildFx = BuildHasherDefault<FxHasher>;
+
+/// The longest trace a [`DenseTrace`] accepts: positions and ids are `u32`,
+/// and `u32::MAX` is reserved as the "never used again" next-use mark.
+pub const MAX_TRACE_LEN: usize = u32::MAX as usize - 1;
+
+/// No link: the end of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// A trace prepared once for any number of simulations.
+///
+/// Addresses are renumbered in first-touch order into dense `u32` ids, so the
+/// simulators index flat arrays and never hash. The Belady next-use array is
+/// built on the first [`DenseTrace::optimal`] call and reused after it.
 ///
 /// # Examples
 ///
 /// ```
-/// use iolb_cachesim::LruCache;
-/// let mut cache = LruCache::new(2);
-/// cache.access(1);
-/// cache.access(2);
-/// cache.access(1); // hit
-/// cache.access(3); // evicts 2
-/// cache.access(2); // miss again
-/// assert_eq!(cache.stats().misses, 4);
-/// assert_eq!(cache.stats().hits, 1);
+/// use iolb_cachesim::DenseTrace;
+/// // Fast memory of 2 words: the access to 3 evicts 2, so 2 misses again.
+/// let trace = DenseTrace::new(&[1, 2, 1, 3, 2]);
+/// assert_eq!(trace.distinct(), 3);
+/// assert_eq!(trace.lru(2).misses, 4);
+/// assert_eq!(trace.lru(2).hits, 1);
+/// // Belady evicts 1 instead (never used again): one miss fewer.
+/// assert_eq!(trace.optimal(2).misses, 3);
 /// ```
 #[derive(Debug)]
-pub struct LruCache {
-    capacity: usize,
-    // Address -> last-use timestamp, and the inverse ordered index
-    // (timestamps are unique, so the BTreeMap is a recency queue): both
-    // `access` paths are O(log capacity) instead of the former O(capacity)
-    // min-scan, which dominated whole-trace simulation.
-    resident: HashMap<u64, u64>,
-    by_recency: BTreeMap<u64, u64>,
-    clock: u64,
-    stats: CacheStats,
+pub struct DenseTrace {
+    ids: Vec<u32>,
+    distinct: u32,
+    next_use: OnceCell<Vec<u32>>,
 }
 
-impl LruCache {
-    /// Creates a cache holding `capacity` words.
+impl DenseTrace {
+    /// Renumbers `trace` into dense ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace is longer than [`MAX_TRACE_LEN`].
+    pub fn new(trace: &[u64]) -> Self {
+        assert!(
+            trace.len() <= MAX_TRACE_LEN,
+            "trace of {} accesses exceeds the simulator limit of {MAX_TRACE_LEN}",
+            trace.len()
+        );
+        let mut id_of: HashMap<u64, u32, BuildFx> = HashMap::default();
+        let ids = trace
+            .iter()
+            .map(|&a| {
+                let fresh = id_of.len() as u32;
+                *id_of.entry(a).or_insert(fresh)
+            })
+            .collect();
+        DenseTrace {
+            ids,
+            distinct: id_of.len() as u32,
+            next_use: OnceCell::new(),
+        }
+    }
+
+    /// The number of distinct addresses — the compulsory (cold) miss count
+    /// of any replacement policy at any capacity.
+    pub fn distinct(&self) -> u64 {
+        self.distinct as u64
+    }
+
+    /// Simulates LRU replacement with `capacity` words of fast memory.
+    ///
+    /// Residents form a doubly linked recency list over ids, most recent at
+    /// the head, so every access is O(1).
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub fn lru(&self, capacity: usize) -> CacheStats {
         assert!(capacity > 0, "cache capacity must be positive");
-        LruCache {
-            capacity,
-            resident: HashMap::new(),
-            by_recency: BTreeMap::new(),
-            clock: 0,
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// Accesses one word; returns `true` on a hit.
-    pub fn access(&mut self, address: u64) -> bool {
-        self.clock += 1;
-        self.stats.accesses += 1;
-        if let Some(stamp) = self.resident.insert(address, self.clock) {
-            self.by_recency.remove(&stamp);
-            self.by_recency.insert(self.clock, address);
-            self.stats.hits += 1;
-            return true;
-        }
-        self.stats.misses += 1;
-        if self.resident.len() > self.capacity {
-            // Evict the least recently used word (oldest timestamp).
-            if let Some((_, victim)) = self.by_recency.pop_first() {
-                self.resident.remove(&victim);
+        let n = self.distinct as usize;
+        let (mut prev, mut next) = (vec![NIL; n], vec![NIL; n]);
+        let mut resident = vec![false; n];
+        let (mut head, mut tail) = (NIL, NIL);
+        let (mut len, mut misses) = (0usize, 0u64);
+        for &id in &self.ids {
+            let i = id as usize;
+            if resident[i] {
+                if head == id {
+                    continue;
+                }
+                // Unlink; `id` is not the head, so it has a predecessor.
+                let (p, q) = (prev[i], next[i]);
+                next[p as usize] = q;
+                if q == NIL {
+                    tail = p;
+                } else {
+                    prev[q as usize] = p;
+                }
+            } else {
+                misses += 1;
+                if len == capacity {
+                    // Evict the least recently used word, the tail.
+                    let victim = tail as usize;
+                    resident[victim] = false;
+                    tail = prev[victim];
+                    if tail == NIL {
+                        head = NIL;
+                    } else {
+                        next[tail as usize] = NIL;
+                    }
+                } else {
+                    len += 1;
+                }
+                resident[i] = true;
             }
+            // Push `id` at the head.
+            prev[i] = NIL;
+            next[i] = head;
+            if head == NIL {
+                tail = id;
+            } else {
+                prev[head as usize] = id;
+            }
+            head = id;
         }
-        self.by_recency.insert(self.clock, address);
-        false
+        CacheStats {
+            accesses: self.ids.len() as u64,
+            misses,
+            hits: self.ids.len() as u64 - misses,
+        }
     }
 
-    /// Runs a whole trace.
-    pub fn run(&mut self, trace: &[u64]) -> CacheStats {
-        for &a in trace {
-            self.access(a);
-        }
-        self.stats
+    /// For each position, the position of the next access to the same id
+    /// (`u32::MAX` when there is none), built on first use.
+    fn next_use(&self) -> &[u32] {
+        self.next_use.get_or_init(|| {
+            let mut last = vec![u32::MAX; self.distinct as usize];
+            let mut next_use = vec![u32::MAX; self.ids.len()];
+            for (pos, &id) in self.ids.iter().enumerate().rev() {
+                next_use[pos] = std::mem::replace(&mut last[id as usize], pos as u32);
+            }
+            next_use
+        })
     }
 
-    /// Statistics so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
+    /// Simulates Belady's optimal (furthest-next-use) replacement — the
+    /// idealised explicitly-controlled cache assumed for `OI_manual` — with
+    /// `capacity` words of fast memory.
+    ///
+    /// Residents sit in a max-heap of packed `(next_use << 32) | id` keys.
+    /// A hit pushes the word's new key and leaves the old one behind, whose
+    /// next use is the current position: such stale keys always sort below
+    /// every live key (live next uses lie ahead), so the heap top is live
+    /// and stale keys are only dropped when the heap is rebuilt. Finite next
+    /// uses are unique; among never-used-again words (`u32::MAX`) the victim
+    /// choice cannot affect any future access, so the miss count is that of
+    /// any furthest-next-use tie-break.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn optimal(&self, capacity: usize) -> CacheStats {
+        assert!(capacity > 0, "cache capacity must be positive");
+        let next_use = self.next_use();
+        let n = self.distinct as usize;
+        let mut resident = vec![false; n];
+        let mut heap: BinaryHeap<u64> = BinaryHeap::with_capacity(2 * capacity.min(n) + 64);
+        let (mut len, mut misses) = (0usize, 0u64);
+        for (pos, &id) in self.ids.iter().enumerate() {
+            let i = id as usize;
+            if !resident[i] {
+                misses += 1;
+                if len == capacity {
+                    let victim = heap.pop().expect("a full cache has a live heap top");
+                    debug_assert!(victim >> 32 > pos as u64, "stale heap top");
+                    resident[(victim & u64::from(u32::MAX)) as usize] = false;
+                } else {
+                    len += 1;
+                }
+                resident[i] = true;
+            } else if heap.len() > 2 * len + 64 {
+                // Rebuild from the live keys: those whose next use is ahead.
+                heap.retain(|&key| key >> 32 > pos as u64);
+            }
+            heap.push(u64::from(next_use[pos]) << 32 | u64::from(id));
+        }
+        CacheStats {
+            accesses: self.ids.len() as u64,
+            misses,
+            hits: self.ids.len() as u64 - misses,
+        }
     }
 }
 
 /// Simulates a trace under LRU replacement with `capacity` words of fast
 /// memory.
+///
+/// # Panics
+///
+/// Panics if `capacity` is zero or the trace is longer than
+/// [`MAX_TRACE_LEN`].
 pub fn simulate_lru(trace: &[u64], capacity: usize) -> CacheStats {
-    LruCache::new(capacity).run(trace)
+    DenseTrace::new(trace).lru(capacity)
 }
 
 /// Simulates a trace under Belady's optimal (furthest-next-use) replacement —
 /// the idealised explicitly-controlled cache assumed for `OI_manual`.
+///
+/// # Panics
+///
+/// Panics if `capacity` is zero or the trace is longer than
+/// [`MAX_TRACE_LEN`].
 pub fn simulate_optimal(trace: &[u64], capacity: usize) -> CacheStats {
-    assert!(capacity > 0, "cache capacity must be positive");
-    // Precompute, for each position, the next use of the same address.
-    let mut next_use = vec![usize::MAX; trace.len()];
-    let mut last_pos: HashMap<u64, usize> = HashMap::new();
-    for (i, &a) in trace.iter().enumerate().rev() {
-        next_use[i] = last_pos.get(&a).copied().unwrap_or(usize::MAX);
-        last_pos.insert(a, i);
-    }
-    // Address -> next use, plus the ordered index for O(log capacity)
-    // furthest-next-use eviction. Finite next-use positions are unique, and
-    // among never-used-again words (`usize::MAX`) the victim choice cannot
-    // affect any future access, so the ordered tie-break keeps miss counts
-    // identical to the former linear max-scan — just deterministic and fast.
-    let mut resident: HashMap<u64, usize> = HashMap::new();
-    let mut by_next_use: BTreeSet<(usize, u64)> = BTreeSet::new();
-    let mut stats = CacheStats::default();
-    for (i, &a) in trace.iter().enumerate() {
-        stats.accesses += 1;
-        if let Some(old) = resident.insert(a, next_use[i]) {
-            stats.hits += 1;
-            by_next_use.remove(&(old, a));
-            by_next_use.insert((next_use[i], a));
-            continue;
-        }
-        stats.misses += 1;
-        if resident.len() > capacity {
-            // Evict the resident word whose next use is furthest away.
-            if let Some((_, victim)) = by_next_use.pop_last() {
-                resident.remove(&victim);
-            }
-        }
-        by_next_use.insert((next_use[i], a));
-    }
-    stats
+    DenseTrace::new(trace).optimal(capacity)
 }
 
 /// The number of distinct addresses in a trace — the compulsory (cold) miss
 /// count of any replacement policy at any capacity.
+///
+/// # Panics
+///
+/// Panics if the trace is longer than [`MAX_TRACE_LEN`].
 pub fn distinct_addresses(trace: &[u64]) -> u64 {
-    trace.iter().collect::<HashSet<_>>().len() as u64
+    DenseTrace::new(trace).distinct()
 }
 
 /// A tiny helper for building word-granular address traces for multi-array
@@ -338,6 +480,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_capacity_is_rejected() {
-        let _ = LruCache::new(0);
+        let _ = simulate_lru(&[1], 0);
     }
 }

@@ -1,10 +1,11 @@
 //! Trace-oracle property tests for the cache simulator: invariants that any
 //! correct LRU / Belady implementation must satisfy, checked over seeded
-//! pseudo-random traces and real kernel schedule traces, plus a differential
-//! pin of the O(log n) implementations against naive reference simulators.
+//! pseudo-random traces, sparse-address traces and real kernel schedule
+//! traces, plus a differential pin of the dense-id implementations against
+//! naive reference simulators.
 
-use iolb_cachesim::{distinct_addresses, simulate_lru, simulate_optimal, CacheStats};
-use std::collections::HashMap;
+use iolb_cachesim::{distinct_addresses, simulate_lru, simulate_optimal, CacheStats, DenseTrace};
+use std::collections::{HashMap, HashSet};
 
 /// Deterministic LCG trace over a bounded address universe.
 fn lcg_trace(seed: u64, len: usize, universe: u64) -> Vec<u64> {
@@ -35,7 +36,21 @@ fn skewed_trace(seed: u64, len: usize) -> Vec<u64> {
         .collect()
 }
 
-/// The corpus: seeded random traces plus real kernel schedule traces.
+/// A sparse trace: the LCG trace's addresses scattered over the whole `u64`
+/// range — large strides, and the top of the range up to `u64::MAX` itself.
+fn sparse_trace(seed: u64, len: usize, universe: u64) -> Vec<u64> {
+    lcg_trace(seed, len, universe)
+        .into_iter()
+        .map(|a| match a % 3 {
+            0 => u64::MAX - a,
+            1 => a.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            _ => a << 40,
+        })
+        .collect()
+}
+
+/// The corpus: seeded random and sparse-address traces plus real kernel
+/// schedule traces.
 fn corpus() -> Vec<(String, Vec<u64>)> {
     let mut traces = vec![
         ("lcg-small-universe".to_string(), lcg_trace(1, 4000, 97)),
@@ -44,6 +59,11 @@ fn corpus() -> Vec<(String, Vec<u64>)> {
         ("skewed".to_string(), skewed_trace(4, 4000)),
         ("single-address".to_string(), vec![42; 100]),
         ("strictly-streaming".to_string(), (0..1500).collect()),
+        ("sparse-near-max".to_string(), sparse_trace(5, 4000, 300)),
+        (
+            "sparse-strided".to_string(),
+            (0..2000u64).map(|i| ((i % 90) << 48) | (i % 7)).collect(),
+        ),
     ];
     for kernel in ["gemm", "atax", "jacobi-2d", "floyd-warshall"] {
         let t = iolb_polybench::trace(kernel, 24, 8).expect("kernel schedule trace");
@@ -66,9 +86,18 @@ fn check_consistent(name: &str, cap: usize, stats: &CacheStats, trace_len: usize
 #[test]
 fn opt_misses_never_exceed_lru_misses() {
     for (name, trace) in corpus() {
+        // One prepared trace serves every capacity and both policies with
+        // exactly the one-shot results.
+        let prepared = DenseTrace::new(&trace);
         for &cap in CAPACITIES {
             let lru = simulate_lru(&trace, cap);
             let opt = simulate_optimal(&trace, cap);
+            assert_eq!(prepared.lru(cap), lru, "{name} cap={cap} (prepared LRU)");
+            assert_eq!(
+                prepared.optimal(cap),
+                opt,
+                "{name} cap={cap} (prepared OPT)"
+            );
             check_consistent(&name, cap, &lru, trace.len());
             check_consistent(&name, cap, &opt, trace.len());
             assert!(
@@ -210,4 +239,8 @@ fn distinct_addresses_counts_the_footprint() {
     assert_eq!(distinct_addresses(&[1, 2, 3, 2, 1]), 3);
     let t = lcg_trace(9, 4000, 97);
     assert!(distinct_addresses(&t) <= 97);
+    for (name, trace) in corpus() {
+        let footprint = trace.iter().collect::<HashSet<_>>().len() as u64;
+        assert_eq!(distinct_addresses(&trace), footprint, "{name}");
+    }
 }

@@ -45,6 +45,7 @@ use crate::driver::Analysis;
 use crate::report::json_escape;
 use crate::workload::dfg_params;
 pub use iolb_cachesim::{simulate_lru, simulate_optimal, CacheStats};
+use iolb_cachesim::{DenseTrace, MAX_TRACE_LEN};
 use iolb_dfg::Dfg;
 use iolb_math::{lcm, Rational};
 use iolb_poly::fxhash::BuildFx;
@@ -911,15 +912,28 @@ pub fn measure(
                 )),
                 caches: Vec::new(),
             },
+            Ok(Ok(gt)) if gt.trace.len() > MAX_TRACE_LEN => InstanceTightness {
+                instance,
+                trace_len: gt.trace.len() as u64,
+                distinct_addresses: gt.distinct_addresses,
+                ops: gt.ops,
+                skipped: Some(format!(
+                    "trace of {} accesses exceeds the cache simulator limit of {MAX_TRACE_LEN}",
+                    gt.trace.len()
+                )),
+                caches: Vec::new(),
+            },
             Ok(Ok(gt)) => {
+                // One renumbering serves every cache size and both policies.
+                let prepared = DenseTrace::new(&gt.trace);
                 let caches = cache_sizes
                     .iter()
                     .map(|&c| {
                         let at = instance.clone().set(&analysis.cache_param, c as i128);
                         CachePoint {
                             cache_words: c,
-                            lru: simulate_lru(&gt.trace, c),
-                            opt: options.opt.then(|| simulate_optimal(&gt.trace, c)),
+                            lru: prepared.lru(c),
+                            opt: options.opt.then(|| prepared.optimal(c)),
                             q_low: analysis.q_at(&at),
                         }
                     })

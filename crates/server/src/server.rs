@@ -173,8 +173,9 @@ struct Metrics {
     failed: AtomicU64,
     overloaded: AtomicU64,
     timeouts: AtomicU64,
-    /// Jobs whose client abandoned them while still queued: skipped, never
-    /// analysed.
+    /// Jobs whose client abandoned them while still queued: removed from
+    /// the lane at the timeout (or skipped by a worker that had just popped
+    /// them), never analysed.
     abandoned_skipped: AtomicU64,
     /// Jobs whose client abandoned them while a worker was executing: the
     /// worker finished (or was cancelled mid-flight) and found no one
@@ -567,6 +568,22 @@ impl Server {
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 cancel.cancel();
                 inner.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
+                // A job still queued gives its lane slot back now instead of
+                // holding it until a worker reaches and skips it. Only
+                // timeouts trip job tokens, so every queued job with a
+                // tripped token is abandoned. A worker that popped the job
+                // first sees the token instead: it skips the job or stops
+                // at its next engine checkpoint.
+                let mut queue = inner.queue.lock().unwrap();
+                let lane = queue.lane_mut(class);
+                let queued = lane.len();
+                lane.retain(|job| !job.cancel.is_cancelled());
+                let removed = (queued - lane.len()) as u64;
+                drop(queue);
+                inner
+                    .metrics
+                    .abandoned_skipped
+                    .fetch_add(removed, Ordering::Relaxed);
                 protocol::error_response(
                     &id,
                     ERR_TIMEOUT,
@@ -857,7 +874,8 @@ fn worker_loop(inner: &Arc<Inner>, role: Role) {
             }
         };
         if job.cancel.is_cancelled() {
-            // The client already timed out while the job sat in the queue:
+            // The client timed out just after this worker popped the job
+            // (a job still queued at the timeout leaves its lane there):
             // skip the analysis entirely.
             inner
                 .metrics
