@@ -74,7 +74,7 @@ fn fm_projection_micro() {
 
 /// Micro-benchmark: symbolic counting of the same two domains.
 fn count_micro() {
-    println!("== count::card_basic (symbolic counting micro-bench) ==");
+    println!("== count::card_basic_in (symbolic counting micro-bench) ==");
     let ctx = Context::empty()
         .assume_ge("N", 8)
         .assume_ge("Ni", 8)

@@ -12,9 +12,9 @@
 //! kernel and the summed counters for the whole suite.
 
 use crate::{evaluate_kernel, KernelRow};
+use iolb_core::json::Json;
 use iolb_core::Analyzer;
 use iolb_poly::stats::Snapshot;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// One kernel's perf row.
@@ -146,50 +146,38 @@ pub fn run(filter: &[String]) -> PerfRun {
         }
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"suite_wall_clock_seconds\": {total_seconds:.6},");
-    json.push_str(
-        "  \"per_kernel_cache\": \"cold (each kernel runs in its own engine session)\",\n",
-    );
-    let _ = writeln!(json, "  \"kernel_count\": {},", rows.len());
-    json.push_str("  \"kernels\": {\n");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(json, "    \"{}\": {{", row.name);
-        let _ = writeln!(json, "      \"seconds\": {:.6},", row.seconds);
-        for (key, rate) in row.stats.hit_rates() {
-            match rate {
-                Some(rate) => {
-                    let _ = writeln!(json, "      \"{key}\": {rate:.6},");
-                }
-                None => {
-                    let _ = writeln!(json, "      \"{key}\": null,");
-                }
-            }
-        }
-        let _ = writeln!(json, "      \"cache_entries\": {}", row.cache_entries);
-        let _ = writeln!(json, "    }}{comma}");
-    }
-    json.push_str("  },\n");
+    let kernels = rows.iter().map(|row| {
+        let mut fields = vec![("seconds".to_string(), Json::Fixed(row.seconds, 6))];
+        fields.extend(
+            row.stats
+                .hit_rates()
+                .into_iter()
+                .map(|(key, rate)| (key.to_string(), rate.map(|r| Json::Fixed(r, 6)).into())),
+        );
+        fields.push(("cache_entries".to_string(), row.cache_entries.into()));
+        (row.name.clone(), Json::Obj(fields))
+    });
+    let mut doc = vec![
+        ("suite_wall_clock_seconds", Json::Fixed(total_seconds, 6)),
+        (
+            "per_kernel_cache",
+            "cold (each kernel runs in its own engine session)".into(),
+        ),
+        ("kernel_count", rows.len().into()),
+        ("kernels", Json::obj(kernels)),
+    ];
     if let Some(load) = &serve {
-        let _ = writeln!(json, "  \"serve_throughput\": {},", load.to_json_object());
+        doc.push(("serve_throughput", load.to_json_value()));
     }
     if !tightness.is_empty() {
-        json.push_str("  \"tightness\": {\n");
-        for (i, (name, ratio)) in tightness.iter().enumerate() {
-            let comma = if i + 1 < tightness.len() { "," } else { "" };
-            let _ = writeln!(json, "    \"{name}\": {ratio:.6}{comma}");
-        }
-        json.push_str("  },\n");
+        let ratios = tightness
+            .iter()
+            .map(|(name, r)| (name.as_str(), Json::Fixed(*r, 6)));
+        doc.push(("tightness", Json::obj(ratios)));
     }
-    json.push_str("  \"engine_counters\": {\n");
-    for (i, (key, value)) in totals.iter().enumerate() {
-        let comma = if i + 1 < totals.len() { "," } else { "" };
-        let _ = writeln!(json, "    \"{key}\": {value}{comma}");
-    }
-    json.push_str("  }\n");
-    json.push_str("}\n");
+    let counters = totals.iter().map(|&(key, value)| (key, value.into()));
+    doc.push(("engine_counters", Json::obj(counters)));
+    let json = Json::obj(doc).render_pretty();
 
     PerfRun {
         rows,

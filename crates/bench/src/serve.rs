@@ -9,6 +9,7 @@
 //! (queueing, session-pool reuse, response rendering), so regressions in
 //! either show up in the same file.
 
+use iolb_core::json::{self, Json};
 use iolb_server::{Server, ServerConfig};
 use std::sync::Arc;
 use std::time::Instant;
@@ -39,11 +40,11 @@ pub struct ServeThroughput {
     pub cancelled_in_flight: u64,
     /// Successful responses marked `degraded` by a tripped work budget.
     pub degraded: u64,
-    /// Responses served from the result cache across both passes (the
-    /// concurrent load run coalesces/hits on repeated kernels; the hot
-    /// replay pass should be all hits).
+    /// Load-run responses served from the result cache: a stored entry or
+    /// a coalesced in-flight computation of a repeated kernel.
     pub cached_responses: usize,
-    /// Result-cache hit rate from the daemon's own counters:
+    /// Result-cache hit rate of the load run from the daemon's own
+    /// counters, read before the hot pass:
     /// (hits + coalesced + disk hits) / (those + misses).
     pub hit_rate: f64,
     /// Median latency of the hot replay pass — every kernel re-requested
@@ -66,41 +67,18 @@ pub struct ServeThroughput {
     pub large_queue_peak: u64,
 }
 
-/// Reads one integer counter out of a `{"op": "stats"}` response line.
-fn stats_counter(stats_line: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\":");
-    let Some(at) = stats_line.find(&needle) else {
-        return 0;
-    };
-    stats_line[at + needle.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
+/// Reads the integer at `path` in a parsed `{"op": "stats"}` reply (0 when
+/// absent).
+fn counter(stats: &Json, path: &[&str]) -> u64 {
+    path.iter()
+        .try_fold(stats, |value, key| value.get(key))
+        .and_then(Json::as_u64)
         .unwrap_or(0)
 }
 
-/// Reads one integer counter out of the nested `"result_cache"` object of a
-/// stats line (the pool object reuses key names like `hits`, so the plain
-/// [`stats_counter`] would find the wrong one).
-fn result_cache_counter(stats_line: &str, key: &str) -> u64 {
-    match stats_line.find("\"result_cache\":") {
-        Some(at) => stats_counter(&stats_line[at..], key),
-        None => 0,
-    }
-}
-
-/// Reads one integer counter out of one lane object (`"small"` or
-/// `"large"`) of the stats line's `"lanes"` block.
-fn lane_counter(stats_line: &str, lane: &str, key: &str) -> u64 {
-    let Some(lanes_at) = stats_line.find("\"lanes\":") else {
-        return 0;
-    };
-    let tail = &stats_line[lanes_at..];
-    match tail.find(&format!("\"{lane}\":")) {
-        Some(at) => stats_counter(&tail[at..], key),
-        None => 0,
-    }
+/// One `analyze` request line for a built-in kernel.
+fn request(id: String, kernel: &str) -> String {
+    Json::obj([("id", id.into()), ("kernel", kernel.into())]).render()
 }
 
 /// Nearest-rank percentile of an ascending-sorted latency sample.
@@ -143,20 +121,15 @@ pub fn run(clients: usize) -> ServeThroughput {
                 for i in 0..kernels.len() {
                     let kernel = &kernels[(i + c * 7) % kernels.len()];
                     let sent = Instant::now();
-                    let response = server.handle_line(&format!(
-                        r#"{{"id": "load-{c}-{i}", "kernel": "{kernel}"}}"#
-                    ));
-                    let large = response.contains("\"cost_class\":\"large\"");
-                    latencies_ms.push((sent.elapsed().as_secs_f64() * 1e3, large));
-                    if response.contains("\"status\":\"ok\"") {
-                        ok += 1;
-                    }
-                    if response.contains("\"session_warm\":true") {
-                        warm += 1;
-                    }
-                    if response.contains("\"cached\":true") {
-                        cached += 1;
-                    }
+                    let response = server.handle_line(&request(format!("load-{c}-{i}"), kernel));
+                    let elapsed_ms = sent.elapsed().as_secs_f64() * 1e3;
+                    let doc = json::parse(&response).expect("responses are JSON");
+                    let server_field = |key| doc.get("server").and_then(|s| s.get(key));
+                    let large = server_field("cost_class").and_then(Json::as_str) == Some("large");
+                    latencies_ms.push((elapsed_ms, large));
+                    ok += usize::from(doc.get("status").and_then(Json::as_str) == Some("ok"));
+                    warm += usize::from(server_field("session_warm") == Some(&Json::Bool(true)));
+                    cached += usize::from(doc.get("cached") == Some(&Json::Bool(true)));
                 }
                 (latencies_ms, ok, warm, cached)
             })
@@ -187,6 +160,23 @@ pub fn run(clients: usize) -> ServeThroughput {
     small_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     large_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
 
+    // Counters of the load run alone: read before the hot pass, so the
+    // hit rate describes the same requests as `cached_responses`. A
+    // healthy full-suite load run reports zero timeouts, cancellations and
+    // degradations; non-zero values flag budget/cancellation churn.
+    let stats_line = server.handle_line(&Json::obj([("op", "stats".into())]).render());
+    let stats = json::parse(&stats_line).expect("stats reply");
+    let stat = |path: &[&str]| counter(&stats, &[&["server_stats"], path].concat());
+    let rc_served = stat(&["result_cache", "hits"])
+        + stat(&["result_cache", "inflight_coalesced"])
+        + stat(&["result_cache", "disk_hits"]);
+    let rc_misses = stat(&["result_cache", "misses"]);
+    let hit_rate = if rc_served + rc_misses > 0 {
+        rc_served as f64 / (rc_served + rc_misses) as f64
+    } else {
+        0.0
+    };
+
     // Hot replay pass: with the whole suite now resident in the result
     // cache, re-request every kernel once and time the pure cache-service
     // path (fingerprint → lookup → render). Kept out of the load-run
@@ -194,29 +184,10 @@ pub fn run(clients: usize) -> ServeThroughput {
     let mut hot_ms: Vec<f64> = Vec::with_capacity(kernels.len());
     for (i, kernel) in kernels.iter().enumerate() {
         let sent = Instant::now();
-        let response = server.handle_line(&format!(r#"{{"id": "hot-{i}", "kernel": "{kernel}"}}"#));
+        server.handle_line(&request(format!("hot-{i}"), kernel));
         hot_ms.push(sent.elapsed().as_secs_f64() * 1e3);
-        if response.contains("\"cached\":true") {
-            cached_responses += 1;
-        }
     }
     hot_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-
-    // Robustness counters for the perf record: a healthy full-suite load
-    // run reports zeroes; non-zero values flag budget/cancellation churn.
-    let stats_line = server.handle_line(r#"{"op": "stats"}"#);
-    let timeouts = stats_counter(&stats_line, "timeouts");
-    let cancelled_in_flight = stats_counter(&stats_line, "cancelled_in_flight");
-    let degraded = stats_counter(&stats_line, "degraded");
-    let rc_served = result_cache_counter(&stats_line, "hits")
-        + result_cache_counter(&stats_line, "inflight_coalesced")
-        + result_cache_counter(&stats_line, "disk_hits");
-    let rc_misses = result_cache_counter(&stats_line, "misses");
-    let hit_rate = if rc_served + rc_misses > 0 {
-        rc_served as f64 / (rc_served + rc_misses) as f64
-    } else {
-        0.0
-    };
     server.shutdown();
 
     latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
@@ -235,9 +206,9 @@ pub fn run(clients: usize) -> ServeThroughput {
         },
         p50_ms: percentile(&latencies_ms, 0.50),
         p99_ms: percentile(&latencies_ms, 0.99),
-        timeouts,
-        cancelled_in_flight,
-        degraded,
+        timeouts: stat(&["timeouts"]),
+        cancelled_in_flight: stat(&["cancelled_in_flight"]),
+        degraded: stat(&["degraded"]),
         cached_responses,
         hit_rate,
         hot_p50_ms: percentile(&hot_ms, 0.50),
@@ -245,48 +216,51 @@ pub fn run(clients: usize) -> ServeThroughput {
         small_p99_ms: percentile(&small_ms, 0.99),
         large_p50_ms: percentile(&large_ms, 0.50),
         large_p99_ms: percentile(&large_ms, 0.99),
-        small_queue_peak: lane_counter(&stats_line, "small", "queued_peak"),
-        large_queue_peak: lane_counter(&stats_line, "large", "queued_peak"),
+        small_queue_peak: stat(&["lanes", "small", "queued_peak"]),
+        large_queue_peak: stat(&["lanes", "large", "queued_peak"]),
     }
 }
 
 impl ServeThroughput {
-    /// The `serve_throughput` JSON object for `BENCH_analysis.json`
-    /// (indented to sit at the document's top level).
-    pub fn to_json_object(&self) -> String {
-        format!(
-            "{{\n    \"clients\": {},\n    \"requests\": {},\n    \"ok\": {},\n    \
-             \"errors\": {},\n    \"warm_responses\": {},\n    \
-             \"wall_clock_seconds\": {:.6},\n    \"requests_per_second\": {:.3},\n    \
-             \"p50_latency_ms\": {:.3},\n    \"p99_latency_ms\": {:.3},\n    \
-             \"timeouts\": {},\n    \"cancelled_in_flight\": {},\n    \
-             \"degraded\": {},\n    \"cached_responses\": {},\n    \
-             \"result_cache_hit_rate\": {:.3},\n    \"hot_p50_ms\": {:.4},\n    \
-             \"lanes\": {{\n      \
-             \"small\": {{ \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"queue_peak\": {} }},\n      \
-             \"large\": {{ \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"queue_peak\": {} }}\n    }}\n  }}",
-            self.clients,
-            self.requests,
-            self.ok,
-            self.errors,
-            self.warm,
-            self.seconds,
-            self.req_per_sec,
-            self.p50_ms,
-            self.p99_ms,
-            self.timeouts,
-            self.cancelled_in_flight,
-            self.degraded,
-            self.cached_responses,
-            self.hit_rate,
-            self.hot_p50_ms,
-            self.small_p50_ms,
-            self.small_p99_ms,
-            self.small_queue_peak,
-            self.large_p50_ms,
-            self.large_p99_ms,
-            self.large_queue_peak,
-        )
+    /// The `serve_throughput` object of `BENCH_analysis.json`.
+    pub fn to_json_value(&self) -> Json {
+        let lane = |p50: f64, p99: f64, queue_peak: u64| {
+            Json::obj([
+                ("p50_ms", Json::Fixed(p50, 3)),
+                ("p99_ms", Json::Fixed(p99, 3)),
+                ("queue_peak", queue_peak.into()),
+            ])
+        };
+        Json::obj([
+            ("clients", self.clients.into()),
+            ("requests", self.requests.into()),
+            ("ok", self.ok.into()),
+            ("errors", self.errors.into()),
+            ("warm_responses", self.warm.into()),
+            ("wall_clock_seconds", Json::Fixed(self.seconds, 6)),
+            ("requests_per_second", Json::Fixed(self.req_per_sec, 3)),
+            ("p50_latency_ms", Json::Fixed(self.p50_ms, 3)),
+            ("p99_latency_ms", Json::Fixed(self.p99_ms, 3)),
+            ("timeouts", self.timeouts.into()),
+            ("cancelled_in_flight", self.cancelled_in_flight.into()),
+            ("degraded", self.degraded.into()),
+            ("cached_responses", self.cached_responses.into()),
+            ("result_cache_hit_rate", Json::Fixed(self.hit_rate, 3)),
+            ("hot_p50_ms", Json::Fixed(self.hot_p50_ms, 4)),
+            (
+                "lanes",
+                Json::obj([
+                    (
+                        "small",
+                        lane(self.small_p50_ms, self.small_p99_ms, self.small_queue_peak),
+                    ),
+                    (
+                        "large",
+                        lane(self.large_p50_ms, self.large_p99_ms, self.large_queue_peak),
+                    ),
+                ]),
+            ),
+        ])
     }
 }
 
@@ -305,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn json_object_is_well_formed() {
+    fn json_object_renders_every_field() {
         let row = ServeThroughput {
             clients: 4,
             requests: 120,
@@ -329,49 +303,35 @@ mod tests {
             small_queue_peak: 5,
             large_queue_peak: 3,
         };
-        let json = row.to_json_object();
-        assert!(json.contains("\"requests_per_second\": 12.000"));
-        assert!(json.contains("\"p99_latency_ms\": 400.000"));
-        assert!(json.contains("\"timeouts\": 1"));
-        assert!(json.contains("\"cancelled_in_flight\": 1"));
-        assert!(json.contains("\"degraded\": 2"));
-        assert!(json.contains("\"cached_responses\": 110"));
-        assert!(json.contains("\"result_cache_hit_rate\": 0.750"));
-        assert!(json.contains("\"hot_p50_ms\": 0.2500"));
-        assert!(json
-            .contains("\"small\": { \"p50_ms\": 10.000, \"p99_ms\": 150.000, \"queue_peak\": 5 }"));
-        assert!(json.contains(
-            "\"large\": { \"p50_ms\": 900.000, \"p99_ms\": 7000.000, \"queue_peak\": 3 }"
-        ));
-        let open = json.matches('{').count();
-        assert_eq!(open, json.matches('}').count());
+        let value = row.to_json_value();
+        let expected = r#"{"clients":4,"requests":120,"ok":120,"errors":0,"warm_responses":100,"wall_clock_seconds":10.000000,"requests_per_second":12.000,"p50_latency_ms":80.000,"p99_latency_ms":400.000,"timeouts":1,"cancelled_in_flight":1,"degraded":2,"cached_responses":110,"result_cache_hit_rate":0.750,"hot_p50_ms":0.2500,"lanes":{"small":{"p50_ms":10.000,"p99_ms":150.000,"queue_peak":5},"large":{"p50_ms":900.000,"p99_ms":7000.000,"queue_peak":3}}}"#;
+        assert_eq!(value.render(), expected);
+        let pretty = value.render_pretty();
+        assert_eq!(json::compact(&pretty), expected);
+        assert_eq!(json::parse(&pretty), json::parse(expected));
     }
 
     #[test]
-    fn stats_counters_parse_out_of_a_stats_line() {
-        let line = r#"{"id":null,"status":"ok","server_stats":{"timeouts":3,"cancelled_in_flight":2,"degraded":10}}"#;
-        assert_eq!(stats_counter(line, "timeouts"), 3);
-        assert_eq!(stats_counter(line, "cancelled_in_flight"), 2);
-        assert_eq!(stats_counter(line, "degraded"), 10);
-        assert_eq!(stats_counter(line, "no_such_field"), 0);
-    }
-
-    #[test]
-    fn result_cache_counters_skip_the_pool_object() {
-        let line = r#"{"status":"ok","server_stats":{"pool":{"hits":9,"misses":9},"result_cache":{"enabled":true,"hits":4,"misses":2,"inflight_coalesced":3,"disk_hits":1}}"#;
-        assert_eq!(result_cache_counter(line, "hits"), 4);
-        assert_eq!(result_cache_counter(line, "misses"), 2);
-        assert_eq!(result_cache_counter(line, "inflight_coalesced"), 3);
-        assert_eq!(result_cache_counter(line, "disk_hits"), 1);
-        assert_eq!(result_cache_counter(r#"{"no_cache":true}"#, "hits"), 0);
-    }
-
-    #[test]
-    fn lane_counters_index_the_right_lane() {
-        let line = r#"{"server_stats":{"lanes":{"small":{"queued":0,"queued_peak":7,"served":20},"large":{"queued":1,"queued_peak":3,"served":2}}}}"#;
-        assert_eq!(lane_counter(line, "small", "queued_peak"), 7);
-        assert_eq!(lane_counter(line, "large", "queued_peak"), 3);
-        assert_eq!(lane_counter(line, "large", "served"), 2);
-        assert_eq!(lane_counter(r#"{"no_lanes":true}"#, "small", "served"), 0);
+    fn counters_read_nested_paths_of_a_stats_reply() {
+        let stats = json::parse(
+            r#"{"status":"ok","server_stats":{"timeouts":3,"lanes":{"small":{"queued_peak":7},"large":{"queued_peak":2}},"pool":{"hits":9},"result_cache":{"hits":4}}}"#,
+        )
+        .unwrap();
+        assert_eq!(counter(&stats, &["server_stats", "timeouts"]), 3);
+        assert_eq!(
+            counter(&stats, &["server_stats", "result_cache", "hits"]),
+            4
+        );
+        assert_eq!(counter(&stats, &["server_stats", "pool", "hits"]), 9);
+        assert_eq!(
+            counter(&stats, &["server_stats", "lanes", "small", "queued_peak"]),
+            7
+        );
+        assert_eq!(
+            counter(&stats, &["server_stats", "lanes", "large", "queued_peak"]),
+            2
+        );
+        assert_eq!(counter(&stats, &["server_stats", "no_such_field"]), 0);
+        assert_eq!(counter(&stats, &["status"]), 0);
     }
 }

@@ -23,7 +23,8 @@
 
 #![warn(missing_docs)]
 
-use iolb_core::report::json_escape;
+use iolb_core::json::Json;
+use iolb_core::report::preflight_json;
 use iolb_core::Analyzer;
 use iolb_frontend::IolbFile;
 use iolb_poly::Budget;
@@ -533,7 +534,7 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
     }
     .map_err(|e| err(e.to_string()))?;
     let text = if args.json {
-        format!("{}\n", report.to_json())
+        format!("{}\n", preflight_json(&report).render())
     } else {
         render_check_text(&report)
     };
@@ -761,35 +762,25 @@ fn cmd_kernels(args: &[String]) -> Result<String, CliError> {
         _ => return Err(err(format!("kernels: unexpected arguments\n\n{USAGE}"))),
     };
     let kernels = iolb_polybench::all_kernels();
-    let mut out = String::new();
     if json {
-        out.push_str("[\n");
-        for (i, k) in kernels.iter().enumerate() {
-            out.push_str("  { \"name\": ");
-            out.push_str(&json_escape(k.name));
-            out.push_str(", \"category\": ");
-            out.push_str(&json_escape(&k.category.to_string()));
-            out.push_str(", \"params\": [");
-            for (j, p) in k.params.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_escape(p));
-            }
-            out.push_str("] }");
-            out.push_str(if i + 1 < kernels.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("]\n");
-    } else {
-        out.push_str(&format!("{:<16} {:<14} parameters\n", "kernel", "category"));
-        for k in &kernels {
-            out.push_str(&format!(
-                "{:<16} {:<14} {}\n",
-                k.name,
-                k.category.to_string(),
-                k.params.join(", ")
-            ));
-        }
+        let entries = kernels.iter().map(|k| {
+            let params = k.params.iter().map(|&p| p.into()).collect();
+            Json::obj([
+                ("name", k.name.into()),
+                ("category", k.category.to_string().into()),
+                ("params", Json::Arr(params)),
+            ])
+        });
+        return Ok(Json::Arr(entries.collect()).render_pretty());
+    }
+    let mut out = format!("{:<16} {:<14} parameters\n", "kernel", "category");
+    for k in &kernels {
+        out.push_str(&format!(
+            "{:<16} {:<14} {}\n",
+            k.name,
+            k.category.to_string(),
+            k.params.join(", ")
+        ));
     }
     Ok(out)
 }

@@ -41,7 +41,8 @@
 
 use crate::bound::Instance;
 use crate::driver::{analyze_interruptible, Analysis, AnalysisOptions};
-use crate::report::Report;
+use crate::json::Json;
+use crate::report::{preflight_json, Report};
 use crate::result_cache::{AnalysisFingerprint, Claim, ResultCache, Tier};
 use crate::tightness::{TightnessOptions, TightnessReport};
 use crate::workload::{PreparedWorkload, Workload, WorkloadError};
@@ -622,57 +623,47 @@ impl AnalysisOutcome {
     /// The versioned JSON document for machine consumers: every
     /// [`Report::to_json`] field (including `schema_version`) plus an
     /// `engine_stats` object with the per-session counters, cache hit
-    /// rates, resident entry count and wall-clock.
+    /// rates, resident entry count and wall-clock, the `preflight` block,
+    /// the `tightness` block on the simulate path, and the `degraded` /
+    /// `budget` fields when a budget tripped.
     pub fn to_json(&self) -> String {
-        let report = self.report.to_json();
-        // Splice the engine_stats object in before the closing brace.
-        let body = report
-            .trim_end()
-            .strip_suffix('}')
-            .expect("report JSON object")
-            .trim_end()
-            .to_string();
-        let mut out = body;
-        out.push_str(",\n  \"engine_stats\": {\n");
-        for (key, value) in self.stats.as_pairs() {
-            out.push_str(&format!("    \"{}\": {},\n", key.to_lowercase(), value));
-        }
-        for (key, value) in self.stats.hit_rates() {
-            match value {
-                Some(rate) => out.push_str(&format!("    \"{key}\": {rate:.6},\n")),
-                // No query of this kind ran: `null`, never NaN (see
-                // `Snapshot::hit_rates`).
-                None => out.push_str(&format!("    \"{key}\": null,\n")),
-            }
-        }
-        out.push_str(&format!("    \"cache_entries\": {},\n", self.cache_entries));
-        out.push_str(&format!(
-            "    \"wall_clock_seconds\": {:.6}\n",
-            self.elapsed.as_secs_f64()
+        let mut stats: Vec<(String, Json)> = self
+            .stats
+            .as_pairs()
+            .into_iter()
+            .map(|(key, value)| (key.to_lowercase(), value.into()))
+            .collect();
+        // No query of a kind ran: `null`, never NaN (see `Snapshot::hit_rates`).
+        stats.extend(
+            self.stats
+                .hit_rates()
+                .into_iter()
+                .map(|(key, rate)| (key.to_string(), rate.map(|r| Json::Fixed(r, 6)).into())),
+        );
+        stats.push(("cache_entries".into(), self.cache_entries.into()));
+        stats.push((
+            "wall_clock_seconds".into(),
+            Json::Fixed(self.elapsed.as_secs_f64(), 6),
         ));
-        out.push_str("  }");
-        out.push_str(&format!(",\n  \"preflight\": {}", self.preflight.to_json()));
-        // The tightness block is only present on the simulate path, so plain
-        // analysis reports (and their result-cache entries) keep their exact
-        // bytes.
+        let mut doc = self.report.json_members();
+        doc.push(("engine_stats", Json::Obj(stats)));
+        doc.push(("preflight", preflight_json(&self.preflight)));
+        // The tightness block is only present on the simulate path, and the
+        // degradation fields only when a budget tripped, so plain reports
+        // (and their result-cache entries) keep their exact bytes.
         if let Some(tightness) = &self.tightness {
-            out.push_str(&format!(",\n  \"tightness\": {}", tightness.to_json()));
+            doc.push(("tightness", tightness.to_json_value()));
         }
-        // Degradation fields are only emitted when a budget tripped, so
-        // un-budgeted reports stay byte-identical to earlier versions.
         if let Some(degradation) = &self.analysis().degradation {
-            out.push_str(",\n  \"degraded\": true,\n  \"budget\": {\n");
-            out.push_str(&format!(
-                "    \"tripped\": \"{}\",\n",
-                degradation.interrupt.code()
-            ));
-            out.push_str(&format!(
-                "    \"sweep_completed\": {},\n    \"sweep_total\": {}\n  }}",
-                degradation.sweep_completed, degradation.sweep_total
-            ));
+            doc.push(("degraded", true.into()));
+            let budget = Json::obj([
+                ("tripped", degradation.interrupt.code().into()),
+                ("sweep_completed", degradation.sweep_completed.into()),
+                ("sweep_total", degradation.sweep_total.into()),
+            ]);
+            doc.push(("budget", budget));
         }
-        out.push_str("\n}\n");
-        out
+        Json::obj(doc).render_pretty()
     }
 }
 

@@ -1,17 +1,28 @@
-//! A minimal JSON reader/writer for the wire protocol.
+//! The one JSON reader/writer of the workspace.
 //!
-//! The build environment is dependency-free (no `serde`), and the protocol
-//! needs only a small, strict JSON subset handler: parse one request object
-//! per line, render responses compactly. [`parse`] accepts any RFC-8259
-//! document (objects, arrays, strings with escapes, numbers, booleans,
-//! `null`); integers that fit `i128` are kept exact, everything else
-//! becomes `f64`. [`Json::render`] is the inverse (object keys keep their
-//! parse order), and [`compact`] minifies already-serialised JSON so
-//! multi-line report documents can be embedded in one-line responses.
+//! The build environment is dependency-free (no `serde`), so every JSON
+//! document the system emits — analysis reports, preflight and tightness
+//! blocks, the daemon's wire lines, `iolb kernels --json` and
+//! `BENCH_analysis.json` — is built as a [`Json`] value field by field and
+//! rendered here, and every document it reads goes through [`parse`].
+//!
+//! [`parse`] accepts any RFC-8259 document (objects, arrays, strings with
+//! escapes, numbers, booleans, `null`); integers that fit `i128` are kept
+//! exact, everything else becomes `f64`. Rendering comes in two layouts:
+//!
+//! * [`Json::render`] — compact, no whitespace (the wire format);
+//! * [`Json::render_pretty`] — the canonical document layout: two-space
+//!   indentation, one `"key": value` member or array item per line, empty
+//!   containers as `[]`/`{}`, and a trailing newline.
+//!
+//! Object keys keep their insertion (or parse) order. [`Json::Fixed`]
+//! writes a number with a fixed count of decimals (`0.800`), and
+//! [`compact`] minifies already-serialised JSON so a stored multi-line
+//! document can ride inside a one-line response as [`Json::Raw`].
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-/// One parsed JSON value.
+/// One JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -20,14 +31,20 @@ pub enum Json {
     Bool(bool),
     /// A number with no fractional or exponent part that fits `i128`.
     Int(i128),
-    /// Any other number.
+    /// Any other number, written in its shortest round-trip form.
     Float(f64),
+    /// A number written with exactly this many decimals (`{:.N}`); never
+    /// produced by [`parse`], which reads the text back as a plain number.
+    Fixed(f64, u8),
     /// A string (escapes decoded).
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object, in source order (duplicate keys are rejected at parse).
+    /// An object, in insertion order (duplicate keys are rejected at parse).
     Obj(Vec<(String, Json)>),
+    /// JSON text that is already rendered — a stored report document or an
+    /// echoed request id — written verbatim. Never produced by [`parse`].
+    Raw(String),
 }
 
 /// A parse failure: byte offset plus message.
@@ -47,7 +64,53 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+macro_rules! int_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(i: $t) -> Json {
+                Json::Int(i as i128)
+            }
+        }
+    )*};
+}
+int_from!(u32, u64, usize);
+
+impl From<i128> for Json {
+    fn from(i: i128) -> Json {
+        Json::Int(i)
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(value: Option<T>) -> Json {
+        value.map_or(Json::Null, Into::into)
+    }
+}
+
 impl Json {
+    /// An object from `(key, value)` members, in order.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// Object field lookup (`None` for missing keys and non-objects).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -103,59 +166,105 @@ impl Json {
         match self {
             Json::Null => "null",
             Json::Bool(_) => "boolean",
-            Json::Int(_) | Json::Float(_) => "number",
+            Json::Int(_) | Json::Float(_) | Json::Fixed(..) => "number",
             Json::Str(_) => "string",
             Json::Arr(_) => "array",
             Json::Obj(_) => "object",
+            Json::Raw(_) => "JSON text",
         }
     }
 
     /// Renders the value as compact JSON (no whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Renders the value in the canonical document layout: two-space
+    /// indentation, one member or item per line, `"key": value`, empty
+    /// containers as `[]`/`{}`, and a trailing newline.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out.push('\n');
+        out
+    }
+
+    /// Writes the value; `indent` is the nesting depth in pretty mode and
+    /// `None` in compact mode.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::Float(f) if f.is_finite() => out.push_str(&format!("{f}")),
-            // Non-finite floats have no JSON representation; `null` is the
-            // lossless-enough fallback (the protocol never produces them).
-            Json::Float(_) => out.push_str("null"),
-            Json::Str(s) => out.push_str(&escape(s)),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
+            Json::Int(i) => {
+                let _ = write!(out, "{i}");
             }
+            // Non-finite numbers have no JSON representation: `null`.
+            Json::Float(f) if f.is_finite() => {
+                let _ = write!(out, "{f}");
+            }
+            Json::Fixed(f, places) if f.is_finite() => {
+                let _ = write!(out, "{f:.*}", usize::from(*places));
+            }
+            Json::Float(_) | Json::Fixed(..) => out.push_str("null"),
+            Json::Str(s) => escape_into(s, out),
+            Json::Raw(text) => out.push_str(text),
+            Json::Arr(items) => write_seq(out, indent, ('[', ']'), items, |out, item, inner| {
+                item.write(out, inner)
+            }),
             Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&escape(k));
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
+                write_seq(out, indent, ('{', '}'), fields, |out, (k, v), inner| {
+                    escape_into(k, out);
+                    out.push_str(if inner.is_some() { ": " } else { ":" });
+                    v.write(out, inner)
+                })
             }
         }
     }
 }
 
+/// Writes a bracketed, comma-separated sequence, one element per line in
+/// pretty mode.
+fn write_seq<T>(
+    out: &mut String,
+    indent: Option<usize>,
+    (open, close): (char, char),
+    items: &[T],
+    mut item: impl FnMut(&mut String, &T, Option<usize>),
+) {
+    out.push(open);
+    let inner = indent.map(|depth| depth + 1);
+    for (i, element) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if let Some(depth) = inner {
+            newline(out, depth);
+        }
+        item(out, element, inner);
+    }
+    if let (Some(depth), false) = (indent, items.is_empty()) {
+        newline(out, depth);
+    }
+    out.push(close);
+}
+
+fn newline(out: &mut String, depth: usize) {
+    out.push('\n');
+    out.extend(std::iter::repeat_n(' ', 2 * depth));
+}
+
 /// Renders a string as a JSON string literal.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(s, &mut out);
+    out
+}
+
+/// Appends `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped; every other character passes through as UTF-8.
+fn escape_into(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -164,12 +273,13 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 /// Parses one JSON document; trailing non-whitespace is an error.
@@ -430,8 +540,8 @@ impl<'a> Parser<'a> {
 }
 
 /// Minifies already-serialised JSON: drops every whitespace byte outside
-/// string literals. Used to embed the multi-line report documents produced
-/// by `AnalysisOutcome::to_json` into single-line protocol responses.
+/// string literals. Used to embed the stored multi-line report documents
+/// (`AnalysisOutcome::to_json`) into single-line protocol responses.
 pub fn compact(json: &str) -> String {
     let mut out = String::with_capacity(json.len());
     let mut in_string = false;
@@ -528,5 +638,171 @@ mod tests {
     fn compact_preserves_strings() {
         let pretty = "{\n  \"a b\": \"keep  \\\" this\",\n  \"n\": 1\n}\n";
         assert_eq!(compact(pretty), r#"{"a b":"keep  \" this","n":1}"#);
+    }
+
+    #[test]
+    fn pretty_layout_is_canonical() {
+        let doc = Json::obj([
+            ("a", Json::Int(1)),
+            ("empty_arr", Json::Arr(vec![])),
+            ("empty_obj", Json::Obj(vec![])),
+            (
+                "nested",
+                Json::Arr(vec![Json::obj([("k", "v".into())]), Json::Null]),
+            ),
+        ]);
+        assert_eq!(
+            doc.render_pretty(),
+            "{\n  \"a\": 1,\n  \"empty_arr\": [],\n  \"empty_obj\": {},\n  \"nested\": [\n    {\n      \"k\": \"v\"\n    },\n    null\n  ]\n}\n"
+        );
+        assert_eq!(Json::Arr(vec![]).render_pretty(), "[]\n");
+        assert_eq!(Json::Int(3).render_pretty(), "3\n");
+    }
+
+    #[test]
+    fn fixed_precision_rounds_and_keeps_its_text() {
+        for (value, places, text) in [
+            (0.75, 3, "0.750"),
+            (12.0, 3, "12.000"),
+            (2.0004, 3, "2.000"),
+            (0.23425, 4, "0.2343"),
+            (1.0 / 3.0, 6, "0.333333"),
+            (-1.23456, 2, "-1.23"),
+            (0.000_000_4, 6, "0.000000"),
+            (0.000_000_6, 6, "0.000001"),
+            (1e20, 1, "100000000000000000000.0"),
+        ] {
+            assert_eq!(
+                Json::Fixed(value, places).render(),
+                text,
+                "{value} .{places}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_null() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::Float(x).render(), "null");
+            assert_eq!(Json::Fixed(x, 3).render(), "null");
+            assert_eq!(
+                Json::Arr(vec![Json::Fixed(x, 6)]).render_pretty(),
+                "[\n  null\n]\n"
+            );
+        }
+    }
+
+    #[test]
+    fn special_characters_round_trip_in_keys_and_strings() {
+        let mut nasty: String = (0u32..0x20).filter_map(char::from_u32).collect();
+        nasty.push_str("\"\\/é€😀\u{10FFFF}");
+        let doc = Json::obj([
+            (nasty.as_str(), nasty.clone().into()),
+            ("q\"k", Json::Str("\\".into())),
+        ]);
+        let text = doc.render();
+        assert!(text.contains(r#"\u0000\u0001"#), "{text}");
+        assert!(text.contains(r#"\u0008"#), "{text}");
+        assert!(!text.chars().any(|c| (c as u32) < 0x20), "{text:?}");
+        assert_eq!(parse(&text).unwrap(), doc);
+        assert_eq!(parse(&doc.render_pretty()).unwrap(), doc);
+        assert_eq!(compact(&doc.render_pretty()), text);
+        assert_eq!(escape("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
+        assert_eq!(escape("Q∞"), "\"Q∞\"");
+    }
+
+    #[test]
+    fn raw_text_is_written_verbatim() {
+        let doc = Json::obj([
+            ("id", Json::Raw("7".into())),
+            ("r", Json::Raw(r#"{"a":[1]}"#.into())),
+        ]);
+        assert_eq!(doc.render(), r#"{"id":7,"r":{"a":[1]}}"#);
+    }
+
+    /// A small seeded generator (SplitMix64) of nested values.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn string(&mut self) -> String {
+            const POOL: &[char] = &[
+                'a',
+                'Z',
+                '0',
+                ' ',
+                '"',
+                '\\',
+                '/',
+                '\n',
+                '\r',
+                '\t',
+                '\u{0}',
+                '\u{1}',
+                '\u{8}',
+                '\u{c}',
+                '\u{1f}',
+                '\u{7f}',
+                'é',
+                '∞',
+                '\u{FFFF}',
+                '😀',
+                '\u{10FFFF}',
+            ];
+            (0..self.below(8))
+                .map(|_| POOL[self.below(POOL.len() as u64) as usize])
+                .collect()
+        }
+
+        fn value(&mut self, depth: usize) -> Json {
+            let kinds = if depth == 0 { 5 } else { 7 };
+            match self.below(kinds) {
+                0 => Json::Null,
+                1 => Json::Bool(self.below(2) == 1),
+                2 => Json::Int(match self.below(4) {
+                    0 => i128::MAX,
+                    1 => i128::MIN,
+                    _ => self.next() as i64 as i128,
+                }),
+                // Finite and non-integral, so the text reads back as a float.
+                3 => Json::Float((self.next() as i32) as f64 + (self.below(999) + 1) as f64 / 1e3),
+                4 => Json::Str(self.string()),
+                5 => Json::Arr((0..self.below(4)).map(|_| self.value(depth - 1)).collect()),
+                _ => {
+                    let mut fields: Vec<(String, Json)> = Vec::new();
+                    for _ in 0..self.below(4) {
+                        let key = self.string();
+                        if fields.iter().all(|(k, _)| *k != key) {
+                            fields.push((key, self.value(depth - 1)));
+                        }
+                    }
+                    Json::Obj(fields)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn render_and_parse_are_inverse_on_generated_values() {
+        let mut gen = Gen(0x10B5_EED5);
+        for case in 0..2000 {
+            let v = gen.value(4);
+            let compact = v.render();
+            let pretty = v.render_pretty();
+            assert_eq!(parse(&compact).as_ref(), Ok(&v), "case {case}: {compact}");
+            assert_eq!(parse(&pretty).as_ref(), Ok(&v), "case {case}: {pretty}");
+            assert_eq!(super::compact(&pretty), compact, "case {case}");
+        }
     }
 }

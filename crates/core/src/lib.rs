@@ -77,6 +77,7 @@ pub mod bound;
 pub mod decompose;
 pub mod driver;
 pub mod interference;
+pub mod json;
 pub mod oi;
 pub mod par;
 pub mod partition;
@@ -91,7 +92,7 @@ pub use analyzer::{AnalysisOutcome, AnalysisReply, AnalyzeError, Analyzer};
 pub use bound::{Instance, LowerBound, Technique};
 pub use driver::{analyze, analyze_interruptible, Analysis, AnalysisOptions, Degradation};
 pub use oi::{OiSummary, Regime};
-pub use report::Report;
+pub use report::{PreflightJson, Report};
 pub use result_cache::{
     AnalysisFingerprint, DiskTierConfig, ResultCache, ResultCacheConfig, ResultCacheStats,
 };

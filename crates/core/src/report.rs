@@ -6,7 +6,9 @@
 //! summary, and renders them as text.
 
 use crate::driver::Analysis;
+use crate::json::Json;
 use crate::oi::OiSummary;
+use iolb_preflight::PreflightReport;
 use std::fmt;
 
 /// Version of the JSON document emitted by [`Report::to_json`] (and by
@@ -36,87 +38,41 @@ impl Report {
         }
     }
 
-    /// Serialises the report as a JSON object (hand-rolled — the build
-    /// environment is dependency-free). All symbolic expressions are
-    /// rendered in their `Display` form; machine consumers that need more
-    /// structure should walk the [`Report::analysis`] fields directly.
+    /// Serialises the report as a JSON document in the canonical layout
+    /// (see [`crate::json`]). All symbolic expressions are rendered in their
+    /// `Display` form; machine consumers that need more structure should
+    /// walk the [`Report::analysis`] fields directly.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let field = |out: &mut String, key: &str, value: String, last: bool| {
-            out.push_str("  ");
-            out.push_str(&json_escape(key));
-            out.push_str(": ");
-            out.push_str(&value);
-            out.push_str(if last { "\n" } else { ",\n" });
-        };
-        field(
-            &mut out,
-            "schema_version",
-            SCHEMA_VERSION.to_string(),
-            false,
-        );
-        field(&mut out, "kernel", json_escape(&self.kernel), false);
-        field(
-            &mut out,
-            "q_low",
-            json_escape(&self.analysis.q_low.to_string()),
-            false,
-        );
-        field(
-            &mut out,
-            "q_asymptotic",
-            json_escape(&self.analysis.q_asymptotic().to_string()),
-            false,
-        );
-        field(
-            &mut out,
-            "input_size",
-            json_escape(&self.analysis.input_size.to_string()),
-            false,
-        );
-        field(
-            &mut out,
-            "cache_param",
-            json_escape(&self.analysis.cache_param),
-            false,
-        );
-        let ops = match &self.oi {
-            Some(oi) => json_escape(&oi.ops.to_string()),
-            None => "null".to_string(),
-        };
-        field(&mut out, "ops", ops, false);
-        let oi_up = match self.oi.as_ref().and_then(|o| o.oi_up.as_ref()) {
-            Some(up) => json_escape(&up.to_string()),
-            None => "null".to_string(),
-        };
-        field(&mut out, "oi_up", oi_up, false);
-        field(
-            &mut out,
-            "num_candidates",
-            self.analysis.candidates.len().to_string(),
-            false,
-        );
-        out.push_str("  \"accepted_bounds\": [");
-        for (i, b) in self.analysis.accepted.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    { \"bound\": ");
-            out.push_str(&json_escape(&b.to_string()));
-            out.push_str(", \"notes\": [");
-            for (j, note) in b.notes.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_escape(note));
-            }
-            out.push_str("] }");
-        }
-        if !self.analysis.accepted.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        Json::obj(self.json_members()).render_pretty()
+    }
+
+    /// The members of [`Report::to_json`], in order (`AnalysisOutcome`
+    /// extends them).
+    pub(crate) fn json_members(&self) -> Vec<(&'static str, Json)> {
+        let a = &self.analysis;
+        let accepted = a.accepted.iter().map(|b| {
+            let notes = b.notes.iter().map(|n| n.as_str().into()).collect();
+            Json::obj([("bound", b.to_string().into()), ("notes", Json::Arr(notes))])
+        });
+        vec![
+            ("schema_version", SCHEMA_VERSION.into()),
+            ("kernel", self.kernel.as_str().into()),
+            ("q_low", a.q_low.to_string().into()),
+            ("q_asymptotic", a.q_asymptotic().to_string().into()),
+            ("input_size", a.input_size.to_string().into()),
+            ("cache_param", a.cache_param.as_str().into()),
+            ("ops", self.oi.as_ref().map(|oi| oi.ops.to_string()).into()),
+            (
+                "oi_up",
+                self.oi
+                    .as_ref()
+                    .and_then(|o| o.oi_up.as_ref())
+                    .map(|up| up.to_string())
+                    .into(),
+            ),
+            ("num_candidates", a.candidates.len().into()),
+            ("accepted_bounds", Json::Arr(accepted.collect())),
+        ]
     }
 
     /// One-line summary: kernel, asymptotic bound, asymptotic OI.
@@ -137,25 +93,64 @@ impl Report {
     }
 }
 
-/// Renders a string as a JSON string literal (quotes, backslashes and
-/// control characters escaped; other characters pass through as UTF-8,
-/// which JSON permits).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// The preflight document: workload, cost class and blowup score, the
+/// structural profile and the diagnostics. `iolb-preflight` sits below
+/// this crate, so its rendering lives here.
+pub fn preflight_json(report: &PreflightReport) -> Json {
+    let p = &report.profile;
+    let statements = p.statements.iter().map(|s| {
+        Json::obj([
+            ("name", s.name.as_str().into()),
+            ("dim", s.dim.into()),
+            ("fan_in", s.fan_in.into()),
+            ("fan_out", s.fan_out.into()),
+            ("uniform_in", s.uniform_in.into()),
+            ("pattern", s.pattern.to_string().into()),
+            ("blowup_score", s.blowup_score.into()),
+        ])
+    });
+    let diagnostics = report.diagnostics.iter().map(|d| {
+        let span = d
+            .span
+            .map(|s| Json::obj([("line", s.line.into()), ("col", s.col.into())]));
+        Json::obj([
+            ("severity", d.severity.to_string().into()),
+            ("code", d.code.into()),
+            ("message", d.message.as_str().into()),
+            ("span", span.into()),
+        ])
+    });
+    let profile = Json::obj([
+        ("inputs", p.inputs.into()),
+        (
+            "params",
+            Json::Arr(p.params.iter().map(|s| s.as_str().into()).collect()),
+        ),
+        ("assumptions", p.assumptions.into()),
+        ("max_depth", p.max_depth.into()),
+        ("parametrization_depth", p.parametrization_depth.into()),
+        ("statements", Json::Arr(statements.collect())),
+    ]);
+    Json::obj([
+        ("workload", p.name.as_str().into()),
+        ("cost_class", p.cost_class.to_string().into()),
+        ("blowup_score", p.blowup_score.into()),
+        ("profile", profile),
+        ("diagnostics", Json::Arr(diagnostics.collect())),
+    ])
+}
+
+/// `to_json` on a [`PreflightReport`]: the compact one-line
+/// [`preflight_json`] document.
+pub trait PreflightJson {
+    /// The preflight document as one line of compact JSON.
+    fn to_json(&self) -> String;
+}
+
+impl PreflightJson for PreflightReport {
+    fn to_json(&self) -> String {
+        preflight_json(self).render()
     }
-    out.push('"');
-    out
 }
 
 impl fmt::Display for Report {
@@ -226,14 +221,25 @@ mod tests {
         assert!(json.contains("\"kernel\": \"copy\""));
         assert!(json.contains("\"q_low\": \""));
         assert!(json.contains("\"accepted_bounds\": ["));
-        // Quotes must be balanced (escaping kept the literal well-formed).
-        let unescaped_quotes = json.replace("\\\"", "").matches('"').count();
-        assert_eq!(unescaped_quotes % 2, 0);
+        let doc = crate::json::parse(&json).expect("the report is valid JSON");
+        assert_eq!(doc.get("kernel").and_then(|k| k.as_str()), Some("copy"));
     }
 
     #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
-        assert_eq!(json_escape("Q∞"), "\"Q∞\"");
+    fn preflight_document_is_one_compact_line() {
+        iolb_poly::EngineCtx::new().scope(|| {
+            let report = iolb_preflight::preflight(
+                "copy",
+                &simple(),
+                &["N".to_string()],
+                &iolb_poly::Context::empty(),
+                0,
+                None,
+            );
+            let json = report.to_json();
+            assert!(json.starts_with("{\"workload\":\"copy\",\"cost_class\":\"small\""));
+            assert!(json.contains("\"pattern\":"), "{json}");
+            assert!(json.ends_with("\"diagnostics\":[]}"), "{json}");
+        });
     }
 }

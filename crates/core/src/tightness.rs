@@ -42,7 +42,7 @@ use std::fmt::Write as _;
 
 use crate::bound::Instance;
 use crate::driver::Analysis;
-use crate::report::json_escape;
+use crate::json::Json;
 use crate::workload::dfg_params;
 pub use iolb_cachesim::{simulate_lru, simulate_optimal, CacheStats};
 use iolb_cachesim::{DenseTrace, MAX_TRACE_LEN};
@@ -258,78 +258,45 @@ impl TightnessReport {
             })
     }
 
-    /// Renders the report as the JSON object spliced into the analysis
-    /// report under the `"tightness"` key (base indentation two spaces).
+    /// The report as a JSON value: the `"tightness"` block of the analysis
+    /// report.
+    pub fn to_json_value(&self) -> Json {
+        let instances = self.instances.iter().map(|inst| {
+            let params = inst
+                .instance
+                .pairs()
+                .into_iter()
+                .map(|(k, v)| (k, v.into()));
+            let caches = inst.caches.iter().map(|cp| {
+                Json::obj([
+                    ("cache_words", cp.cache_words.into()),
+                    ("lru_accesses", cp.lru.accesses.into()),
+                    ("lru_misses", cp.lru.misses.into()),
+                    ("opt_misses", cp.opt.map(|o| o.misses).into()),
+                    ("q_low", cp.q_low.map(Json::Float).into()),
+                    ("tightness_lru", cp.tightness_lru().map(Json::Float).into()),
+                    ("tightness_opt", cp.tightness_opt().map(Json::Float).into()),
+                ])
+            });
+            Json::obj([
+                ("params", Json::obj(params)),
+                ("trace_len", inst.trace_len.into()),
+                ("distinct_addresses", inst.distinct_addresses.into()),
+                ("ops", Json::Float(inst.ops)),
+                ("skipped", inst.skipped.as_deref().into()),
+                ("caches", Json::Arr(caches.collect())),
+            ])
+        });
+        Json::obj([
+            ("cache_param", self.cache_param.as_str().into()),
+            ("max_trace", self.max_trace.into()),
+            ("instances", Json::Arr(instances.collect())),
+        ])
+    }
+
+    /// The report as a JSON document in the canonical layout.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(
-            out,
-            "    \"cache_param\": {},",
-            json_escape(&self.cache_param)
-        );
-        let _ = writeln!(out, "    \"max_trace\": {},", self.max_trace);
-        out.push_str("    \"instances\": [");
-        for (i, inst) in self.instances.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n      {\n");
-            out.push_str("        \"params\": {");
-            for (j, (k, v)) in inst.instance.pairs().iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{}: {}", json_escape(k), v);
-            }
-            out.push_str("},\n");
-            let _ = writeln!(out, "        \"trace_len\": {},", inst.trace_len);
-            let _ = writeln!(
-                out,
-                "        \"distinct_addresses\": {},",
-                inst.distinct_addresses
-            );
-            let _ = writeln!(out, "        \"ops\": {},", fmt_f64(Some(inst.ops)));
-            match &inst.skipped {
-                Some(reason) => {
-                    let _ = writeln!(out, "        \"skipped\": {},", json_escape(reason));
-                }
-                None => out.push_str("        \"skipped\": null,\n"),
-            }
-            out.push_str("        \"caches\": [");
-            for (j, cp) in inst.caches.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n          {");
-                let _ = write!(
-                    out,
-                    "\"cache_words\": {}, \"lru_accesses\": {}, \"lru_misses\": {}, ",
-                    cp.cache_words, cp.lru.accesses, cp.lru.misses
-                );
-                match &cp.opt {
-                    Some(o) => {
-                        let _ = write!(out, "\"opt_misses\": {}, ", o.misses);
-                    }
-                    None => out.push_str("\"opt_misses\": null, "),
-                }
-                let _ = write!(
-                    out,
-                    "\"q_low\": {}, \"tightness_lru\": {}, \"tightness_opt\": {}}}",
-                    fmt_f64(cp.q_low),
-                    fmt_f64(cp.tightness_lru()),
-                    fmt_f64(cp.tightness_opt())
-                );
-            }
-            if !inst.caches.is_empty() {
-                out.push_str("\n        ");
-            }
-            out.push_str("]\n      }");
-        }
-        if !self.instances.is_empty() {
-            out.push_str("\n    ");
-        }
-        out.push_str("]\n  }");
-        out
+        self.to_json_value().render_pretty()
     }
 
     /// One-line human summary, e.g. for CLI output.
@@ -342,15 +309,6 @@ impl TightnessReport {
             ),
             None => format!("tightness: {simulated} instance(s) simulated, {skipped} skipped"),
         }
-    }
-}
-
-/// Renders an `Option<f64>` as a JSON number or `null` (never `NaN`/`inf`,
-/// which are not JSON).
-fn fmt_f64(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x}"),
-        _ => "null".to_string(),
     }
 }
 

@@ -27,9 +27,6 @@
 //! never evicts, which keeps lookups cheap and behaviour deterministic).
 //! Disabling a session's cache also clears it — a disabled cache holds no
 //! memory.
-//!
-//! The free functions at the bottom are deprecated shims over the ambient
-//! session, kept so pre-session code still compiles.
 
 use crate::affine::Constraint;
 use crate::fxhash::{Fingerprint, FingerprintMap};
@@ -289,77 +286,6 @@ impl QueryCache {
         self.feasibility.insert(key, v);
         v
     }
-}
-
-// --- deprecated global shims -----------------------------------------------
-
-/// Enables or disables the **ambient** session's cache. As with
-/// [`EngineCtx::set_cache_enabled`](crate::engine::EngineCtx::set_cache_enabled),
-/// disabling clears the stored entries.
-///
-/// Migrate to an explicit session:
-///
-/// ```
-/// use iolb_poly::EngineCtx;
-///
-/// let session = EngineCtx::new();
-/// session.set_cache_enabled(false);
-/// assert!(!session.cache_enabled());
-/// session.set_cache_enabled(true);
-/// ```
-#[deprecated(note = "use EngineCtx::set_cache_enabled on an explicit session")]
-pub fn set_enabled(enabled: bool) {
-    crate::engine::EngineCtx::with_current(|e| e.set_cache_enabled(enabled))
-}
-
-/// True when the **ambient** session's cache is consulted.
-///
-/// Migrate to an explicit session:
-///
-/// ```
-/// use iolb_poly::EngineCtx;
-///
-/// let session = EngineCtx::new();
-/// assert!(session.cache_enabled());
-/// ```
-#[deprecated(note = "use EngineCtx::cache_enabled on an explicit session")]
-pub fn is_enabled() -> bool {
-    crate::engine::EngineCtx::with_current(|e| e.cache_enabled())
-}
-
-/// Empties the **ambient** session's caches.
-///
-/// Migrate to an explicit session:
-///
-/// ```
-/// use iolb_poly::EngineCtx;
-///
-/// let session = EngineCtx::new();
-/// session.clear_cache();
-/// assert_eq!(session.cache_len(), 0);
-/// ```
-#[deprecated(note = "use EngineCtx::clear_cache on an explicit session")]
-pub fn clear() {
-    crate::engine::EngineCtx::with_current(|e| e.clear_cache())
-}
-
-/// Number of entries stored in the **ambient** session's caches.
-///
-/// Migrate to an explicit session:
-///
-/// ```
-/// use iolb_poly::{fm, parse_set, EngineCtx};
-///
-/// let session = EngineCtx::new();
-/// session.scope(|| {
-///     let s = parse_set("[N] -> { S[i] : 0 <= i < N }").unwrap();
-///     fm::is_feasible_in(&EngineCtx::current(), s.constraints(), s.dim());
-/// });
-/// assert!(session.cache_len() >= 1, "the feasibility answer is memoized");
-/// ```
-#[deprecated(note = "use EngineCtx::cache_len on an explicit session")]
-pub fn len() -> usize {
-    crate::engine::EngineCtx::with_current(|e| e.cache_len())
 }
 
 #[cfg(test)]

@@ -42,15 +42,13 @@
 //! *inside* the session it analyses in. Resolving a foreign id panics with a
 //! "different engine session" message rather than silently aliasing names.
 //!
-//! ## Compatibility
+//! ## The global fallback session
 //!
-//! Code that predates sessions (the deprecated free functions in
-//! [`interner`](crate::interner), [`cache`](crate::cache),
-//! [`stats`](crate::stats), [`fm`](crate::fm) and [`count`](crate::count))
-//! still compiles: outside any scope, the ambient session falls back to one
-//! process-wide **global session** (see [`EngineCtx::global`]), which is the
-//! only remaining `OnceLock` in this crate and exists purely as a
-//! deprecated-shim landing pad.
+//! Ambient lookups outside any scope — `LinExpr::param`, the
+//! `BasicSet`/`BasicMap` operations, `scan::instantiate` and their callers
+//! in `iolb-preflight` and `iolb-core` — fall back to one process-wide
+//! **global session** (see [`EngineCtx::global`]), the only remaining
+//! `OnceLock` in this crate.
 
 use crate::budget::{Budget, BudgetState};
 use crate::cache::QueryCache;
@@ -302,6 +300,19 @@ impl EngineCtx {
     }
 
     /// Drops every memoized query result (capacity is retained).
+    ///
+    /// ```
+    /// use iolb_poly::{fm, parse_set, EngineCtx};
+    ///
+    /// let session = EngineCtx::new();
+    /// session.scope(|| {
+    ///     let s = parse_set("[N] -> { S[i] : 0 <= i < N }").unwrap();
+    ///     fm::is_feasible_in(&EngineCtx::current(), s.constraints(), s.dim());
+    /// });
+    /// assert!(session.cache_len() >= 1, "the feasibility answer is memoized");
+    /// session.clear_cache();
+    /// assert_eq!(session.cache_len(), 0);
+    /// ```
     pub fn clear_cache(&self) {
         self.cache.clear();
     }
@@ -446,13 +457,10 @@ impl EngineCtx {
         self.interner.len() * 4 < self.config.interner_capacity * 3
     }
 
-    // --- deprecated global compatibility shim ---------------------------
-
     /// The process-wide fallback session used by threads that have not
-    /// entered a scope. This exists so the deprecated free functions (and
-    /// code written before sessions) keep working; new code should create
-    /// its own session. This `OnceLock` is the compatibility shim's storage
-    /// and is only consulted when no scope is active.
+    /// entered a scope: ambient lookups (`LinExpr::param`, the set and map
+    /// operations) resolve here when no scope is active. New code should
+    /// create its own session.
     pub fn global() -> &'static Arc<EngineCtx> {
         static GLOBAL: std::sync::OnceLock<Arc<EngineCtx>> = std::sync::OnceLock::new();
         GLOBAL.get_or_init(EngineCtx::new)

@@ -18,9 +18,6 @@
 //!
 //! A `ParamId` additionally records which session minted it, so resolving an
 //! id in the wrong session panics instead of silently aliasing another name.
-//!
-//! The free functions at the bottom are deprecated shims over the ambient
-//! session, kept so pre-session code still compiles.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -191,74 +188,6 @@ impl ParamTable {
     }
 }
 
-// --- deprecated global shims -----------------------------------------------
-
-/// Interns a name in the **ambient** session.
-///
-/// Migrate to an explicit session:
-///
-/// ```
-/// use iolb_poly::EngineCtx;
-///
-/// let session = EngineCtx::new();
-/// let id = session.intern("N");
-/// assert_eq!(session.intern("N"), id, "idempotent within the session");
-/// ```
-#[deprecated(note = "use EngineCtx::intern (or LinExpr::param_in) on an explicit session")]
-pub fn intern(name: &str) -> ParamId {
-    crate::engine::EngineCtx::with_current(|e| e.intern(name))
-}
-
-/// Looks a name up in the **ambient** session without interning it.
-///
-/// Migrate to an explicit session:
-///
-/// ```
-/// use iolb_poly::EngineCtx;
-///
-/// let session = EngineCtx::new();
-/// assert!(session.lookup("N").is_none());
-/// let id = session.intern("N");
-/// assert_eq!(session.lookup("N"), Some(id));
-/// ```
-#[deprecated(note = "use EngineCtx::lookup on an explicit session")]
-pub fn lookup(name: &str) -> Option<ParamId> {
-    crate::engine::EngineCtx::with_current(|e| e.lookup(name))
-}
-
-/// Resolves an id against the **ambient** session.
-///
-/// Migrate to an explicit session:
-///
-/// ```
-/// use iolb_poly::EngineCtx;
-///
-/// let session = EngineCtx::new();
-/// let id = session.intern("N");
-/// assert_eq!(&*session.resolve(id), "N");
-/// ```
-#[deprecated(note = "use EngineCtx::resolve on an explicit session")]
-pub fn resolve(id: ParamId) -> Arc<str> {
-    crate::engine::EngineCtx::with_current(|e| e.resolve(id))
-}
-
-/// Sorts ids by name using the **ambient** session.
-///
-/// Migrate to an explicit session:
-///
-/// ```
-/// use iolb_poly::EngineCtx;
-///
-/// let session = EngineCtx::new();
-/// let mut ids = [session.intern("Nj"), session.intern("Ni")];
-/// session.sort_ids_by_name(&mut ids);
-/// assert_eq!(&*session.resolve(ids[0]), "Ni");
-/// ```
-#[deprecated(note = "use EngineCtx::sort_ids_by_name on an explicit session")]
-pub fn sort_ids_by_name(ids: &mut [ParamId]) {
-    crate::engine::EngineCtx::with_current(|e| e.sort_ids_by_name(ids))
-}
-
 #[cfg(test)]
 mod tests {
     use crate::engine::EngineCtx;
@@ -295,21 +224,6 @@ mod tests {
         let mut ids = vec![z, a];
         e.sort_ids_by_name(&mut ids);
         assert_eq!(ids, vec![a, z]);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn global_shims_route_to_the_ambient_session() {
-        let e = EngineCtx::new();
-        let id = e.scope(|| super::intern("__shim_param"));
-        assert_eq!(e.lookup("__shim_param"), Some(id));
-        // Outside the scope the shims talk to the global session instead.
-        assert_eq!(
-            super::lookup("__shim_param").map(|i| i.session()),
-            EngineCtx::global()
-                .lookup("__shim_param")
-                .map(|i| i.session())
-        );
     }
 
     #[test]

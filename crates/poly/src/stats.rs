@@ -151,43 +151,6 @@ impl Snapshot {
     }
 }
 
-// --- deprecated global shims -----------------------------------------------
-
-/// Snapshot of the **ambient** session's counters.
-///
-/// Migrate to an explicit session:
-///
-/// ```
-/// use iolb_poly::{fm, parse_set, EngineCtx};
-///
-/// let session = EngineCtx::new();
-/// session.scope(|| {
-///     let s = parse_set("[N] -> { S[i] : 0 <= i < N }").unwrap();
-///     fm::is_feasible_in(&EngineCtx::current(), s.constraints(), s.dim());
-/// });
-/// assert!(session.stats().FEASIBILITY_CHECKS >= 1);
-/// ```
-#[deprecated(note = "use EngineCtx::stats on an explicit session")]
-pub fn snapshot() -> Snapshot {
-    crate::engine::EngineCtx::with_current(|e| e.stats())
-}
-
-/// Resets the **ambient** session's counters.
-///
-/// Migrate to an explicit session:
-///
-/// ```
-/// use iolb_poly::{stats::Snapshot, EngineCtx};
-///
-/// let session = EngineCtx::new();
-/// session.reset_stats();
-/// assert_eq!(session.stats(), Snapshot::default());
-/// ```
-#[deprecated(note = "use EngineCtx::reset_stats on an explicit session")]
-pub fn reset() {
-    crate::engine::EngineCtx::with_current(|e| e.reset_stats())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -258,64 +258,6 @@ impl PreflightReport {
             .iter()
             .any(|d| d.severity == Severity::Error)
     }
-
-    /// Renders the report as a single-line JSON object:
-    /// `{"workload":…,"cost_class":…,"blowup_score":…,"profile":{…},"diagnostics":[…]}`.
-    pub fn to_json(&self) -> String {
-        let p = &self.profile;
-        let mut out = String::with_capacity(512);
-        out.push_str(&format!(
-            "{{\"workload\":\"{}\",\"cost_class\":\"{}\",\"blowup_score\":{},\"profile\":{{",
-            escape(&p.name),
-            p.cost_class,
-            p.blowup_score
-        ));
-        out.push_str(&format!(
-            "\"inputs\":{},\"params\":[{}],\"assumptions\":{},\"max_depth\":{},\"parametrization_depth\":{},\"statements\":[",
-            p.inputs,
-            p.params
-                .iter()
-                .map(|s| format!("\"{}\"", escape(s)))
-                .collect::<Vec<_>>()
-                .join(","),
-            p.assumptions,
-            p.max_depth,
-            p.parametrization_depth
-        ));
-        for (i, s) in p.statements.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"dim\":{},\"fan_in\":{},\"fan_out\":{},\"uniform_in\":{},\"pattern\":\"{}\",\"blowup_score\":{}}}",
-                escape(&s.name),
-                s.dim,
-                s.fan_in,
-                s.fan_out,
-                s.uniform_in,
-                s.pattern,
-                s.blowup_score
-            ));
-        }
-        out.push_str("]},\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"severity\":\"{}\",\"code\":\"{}\",\"message\":\"{}\",\"span\":{}}}",
-                d.severity,
-                d.code,
-                escape(&d.message),
-                match d.span {
-                    Some(SourceSpan { line, col }) => format!("{{\"line\":{line},\"col\":{col}}}"),
-                    None => "null".to_string(),
-                }
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// Runs the static preflight analysis. Must run inside the engine session
@@ -511,23 +453,6 @@ pub fn preflight(
     }
 }
 
-/// Minimal JSON string escaping (mirrors the server's).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -668,25 +593,6 @@ mod tests {
                 format!("{dead}"),
                 "3:8: warning: array `B` is declared but never read or written [dead-array]"
             );
-        });
-    }
-
-    #[test]
-    fn json_shape() {
-        EngineCtx::new().scope(|| {
-            let dfg = gemm_like();
-            let report = preflight(
-                "g",
-                &dfg,
-                &strings(&["Ni", "Nj", "Nk"]),
-                &Context::empty(),
-                0,
-                None,
-            );
-            let json = report.to_json();
-            assert!(json.starts_with("{\"workload\":\"g\",\"cost_class\":\"small\""));
-            assert!(json.contains("\"pattern\":\"uniform\""));
-            assert!(json.ends_with("\"diagnostics\":[]}"));
         });
     }
 }

@@ -42,7 +42,8 @@
 
 #![warn(missing_docs)]
 
-pub mod json;
+/// The workspace JSON reader/writer (it lives in `iolb-core`).
+pub use iolb_core::json;
 pub mod protocol;
 pub mod server;
 

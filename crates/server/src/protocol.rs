@@ -597,50 +597,68 @@ pub fn ok_response(
     degraded: Option<DegradedInfo<'_>>,
     cache: &CacheInfo,
 ) -> String {
-    let degraded = match degraded {
-        None => String::new(),
-        Some(d) => format!(
-            ",\"degraded\":true,\"budget\":{{\"tripped\":{},\"sweep_completed\":{},\"sweep_total\":{}}}",
-            json::escape(d.tripped),
-            d.sweep_completed,
-            d.sweep_total,
-        ),
-    };
-    let fingerprint = match &cache.fingerprint {
-        Some(fp) => format!(",\"fingerprint\":{}", json::escape(fp)),
-        None => String::new(),
-    };
-    format!(
-        "{{\"id\":{id},\"status\":\"ok\",\"cached\":{},\"report\":{},\"server\":{{\"queue_ms\":{:.3},\"service_ms\":{:.3},\"analysis_ms\":{:.3},\"session_warm\":{},\"pool_sessions\":{},\"cost_class\":{}}}{fingerprint}{degraded}}}",
-        cache.cached,
-        json::compact(report_json).trim_end(),
-        timings.queue_ms,
-        timings.service_ms,
-        timings.analysis_ms,
-        timings.session_warm,
-        timings.pool_sessions,
-        json::escape(timings.cost_class),
-    )
+    let server = Json::obj([
+        ("queue_ms", Json::Fixed(timings.queue_ms, 3)),
+        ("service_ms", Json::Fixed(timings.service_ms, 3)),
+        ("analysis_ms", Json::Fixed(timings.analysis_ms, 3)),
+        ("session_warm", timings.session_warm.into()),
+        ("pool_sessions", timings.pool_sessions.into()),
+        ("cost_class", timings.cost_class.into()),
+    ]);
+    let mut doc = vec![
+        ("id", Json::Raw(id.to_string())),
+        ("status", "ok".into()),
+        ("cached", cache.cached.into()),
+        ("report", Json::Raw(json::compact(report_json))),
+        ("server", server),
+    ];
+    if let Some(fp) = &cache.fingerprint {
+        doc.push(("fingerprint", fp.as_str().into()));
+    }
+    if let Some(d) = degraded {
+        doc.push(("degraded", true.into()));
+        let budget = Json::obj([
+            ("tripped", d.tripped.into()),
+            ("sweep_completed", d.sweep_completed.into()),
+            ("sweep_total", d.sweep_total.into()),
+        ]);
+        doc.push(("budget", budget));
+    }
+    Json::obj(doc).render()
+}
+
+/// Renders a successful control-op response (`ping`, `stats`, `shutdown`):
+/// the echoed id, `"status":"ok"` and one `key` member.
+pub fn control_response(id: Json, key: &str, value: Json) -> String {
+    Json::obj([("id", id), ("status", "ok".into()), (key, value)]).render()
 }
 
 /// Renders an error response from an echoed id (compact JSON), an `ERR_*`
 /// code and a message.
 pub fn error_response(id: &str, code: &str, message: &str) -> String {
-    format!(
-        "{{\"id\":{id},\"status\":\"error\",\"error\":{{\"code\":{},\"message\":{}}}}}",
-        json::escape(code),
-        json::escape(message),
-    )
+    error_line(id, vec![("code", code.into()), ("message", message.into())])
 }
 
 /// Renders an [`ERR_OVERLOADED`] response carrying a `retry_after_ms`
 /// back-off hint (queue depth × recent mean service time).
 pub fn overloaded_response(id: &str, message: &str, retry_after_ms: u64) -> String {
-    format!(
-        "{{\"id\":{id},\"status\":\"error\",\"error\":{{\"code\":{},\"message\":{},\"retry_after_ms\":{retry_after_ms}}}}}",
-        json::escape(ERR_OVERLOADED),
-        json::escape(message),
+    error_line(
+        id,
+        vec![
+            ("code", ERR_OVERLOADED.into()),
+            ("message", message.into()),
+            ("retry_after_ms", retry_after_ms.into()),
+        ],
     )
+}
+
+fn error_line(id: &str, error: Vec<(&str, Json)>) -> String {
+    Json::obj([
+        ("id", Json::Raw(id.to_string())),
+        ("status", "error".into()),
+        ("error", Json::obj(error)),
+    ])
+    .render()
 }
 
 impl RequestError {

@@ -32,10 +32,11 @@
 //! already-queued requests are still served, and the worker threads are
 //! joined once the queue is empty.
 
+use crate::json::Json;
 use crate::protocol::{
-    self, ok_response, overloaded_response, parse_request, AnalyzeRequest, CacheInfo, DegradedInfo,
-    Request, ServiceTimings, SimulateRequest, WorkloadSpec, ERR_RESOURCE_LIMIT, ERR_SHUTTING_DOWN,
-    ERR_TIMEOUT, ERR_UNKNOWN_KERNEL, ERR_WORKLOAD,
+    self, control_response, ok_response, overloaded_response, parse_request, AnalyzeRequest,
+    CacheInfo, DegradedInfo, Request, ServiceTimings, SimulateRequest, WorkloadSpec,
+    ERR_RESOURCE_LIMIT, ERR_SHUTTING_DOWN, ERR_TIMEOUT, ERR_UNKNOWN_KERNEL, ERR_WORKLOAD,
 };
 use iolb_core::pool::SessionPool;
 use iolb_core::preflight::CostClass;
@@ -459,16 +460,11 @@ impl Server {
             Err(e) => return e.to_response(),
         };
         match request {
-            Request::Ping(id) => {
-                format!("{{\"id\":{},\"status\":\"ok\",\"pong\":true}}", id.render())
-            }
-            Request::Stats(id) => self.stats_response(&id.render()),
+            Request::Ping(id) => control_response(id, "pong", true.into()),
+            Request::Stats(id) => control_response(id, "server_stats", self.server_stats()),
             Request::Shutdown(id) => {
                 self.begin_drain();
-                format!(
-                    "{{\"id\":{},\"status\":\"ok\",\"draining\":true}}",
-                    id.render()
-                )
+                control_response(id, "draining", true.into())
             }
             Request::Analyze(request) => self.handle_analyze(*request, None),
             Request::Simulate(request) => {
@@ -608,7 +604,7 @@ impl Server {
         }
     }
 
-    fn stats_response(&self, id: &str) -> String {
+    fn server_stats(&self) -> Json {
         let inner = &*self.inner;
         let m = &inner.metrics;
         let pool = inner.pool.stats();
@@ -621,7 +617,8 @@ impl Server {
             let queue = inner.queue.lock().unwrap();
             (queue.small.len(), queue.large.len())
         };
-        let lane_json = |class: CostClass, depth: usize| {
+        let count = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed));
+        let lane = |class: CostClass, depth: usize| {
             let i = class_idx(class);
             let samples = m.service_samples[i].load(Ordering::Relaxed);
             let mean_ms = if samples == 0 {
@@ -629,69 +626,63 @@ impl Server {
             } else {
                 m.service_us[i].load(Ordering::Relaxed) as f64 / samples as f64 / 1e3
             };
-            format!(
-                "{{\"queued\":{depth},\"queued_peak\":{},\"served\":{samples},\
-                 \"mean_service_ms\":{mean_ms:.3},\"p50_ms\":{},\"p99_ms\":{}}}",
-                m.queue_peak[i].load(Ordering::Relaxed),
-                hist_percentile(&m.service_hist[i], 0.50),
-                hist_percentile(&m.service_hist[i], 0.99),
-            )
+            Json::obj([
+                ("queued", depth.into()),
+                ("queued_peak", count(&m.queue_peak[i])),
+                ("served", samples.into()),
+                ("mean_service_ms", Json::Fixed(mean_ms, 3)),
+                ("p50_ms", hist_percentile(&m.service_hist[i], 0.50).into()),
+                ("p99_ms", hist_percentile(&m.service_hist[i], 0.99).into()),
+            ])
         };
-        format!(
-            "{{\"id\":{id},\"status\":\"ok\",\"server_stats\":{{\
-             \"workers\":{},\"queue_capacity\":{},\"queue_depth\":{},\"draining\":{},\
-             \"lanes\":{{\"small\":{},\"large\":{}}},\
-             \"requests_received\":{},\"requests_completed\":{},\"requests_failed\":{},\
-             \"rejected_overloaded\":{},\"timeouts\":{},\"abandoned_skipped\":{},\
-             \"abandoned_completed\":{},\"cancelled_in_flight\":{},\"degraded\":{},\
-             \"resource_limited\":{},\"sessions_retired\":{},\
-             \"simulate_requests\":{},\"simulate_completed\":{},\
-             \"pool\":{{\"capacity\":{},\"idle_sessions\":{},\"hits\":{},\"misses\":{},\
-             \"evictions\":{},\"retired\":{}}},\
-             \"result_cache\":{{\"enabled\":{},\"entries\":{},\"hits\":{},\"misses\":{},\
-             \"inflight_coalesced\":{},\"disk_hits\":{},\"evictions\":{},\
-             \"disk_evictions\":{},\"disk_corrupt\":{},\"stores\":{},\"uncacheable\":{}}}}}}}",
-            inner.config.workers,
-            inner.config.queue_capacity,
-            small_depth + large_depth,
-            inner.draining.load(Ordering::SeqCst),
-            lane_json(CostClass::Small, small_depth),
-            lane_json(CostClass::Large, large_depth),
-            m.received.load(Ordering::Relaxed),
-            m.completed.load(Ordering::Relaxed),
-            m.failed.load(Ordering::Relaxed),
-            m.overloaded.load(Ordering::Relaxed),
-            m.timeouts.load(Ordering::Relaxed),
-            m.abandoned_skipped.load(Ordering::Relaxed),
-            m.abandoned_completed.load(Ordering::Relaxed),
-            m.cancelled_in_flight.load(Ordering::Relaxed),
-            m.degraded.load(Ordering::Relaxed),
-            m.resource_limited.load(Ordering::Relaxed),
-            m.sessions_retired.load(Ordering::Relaxed),
-            m.simulate_requests.load(Ordering::Relaxed),
-            m.simulate_completed.load(Ordering::Relaxed),
-            inner.pool.capacity(),
-            inner.pool.len(),
-            pool.hits,
-            pool.misses,
-            pool.evictions,
-            pool.retired,
-            inner.result_cache.is_some(),
-            inner
-                .result_cache
-                .as_ref()
-                .map(|c| c.memory_len())
-                .unwrap_or(0),
-            rc.hits,
-            rc.misses,
-            rc.inflight_coalesced,
-            rc.disk_hits,
-            rc.evictions,
-            rc.disk_evictions,
-            rc.disk_corrupt,
-            rc.stores,
-            rc.uncacheable,
-        )
+        let lanes = Json::obj([
+            ("small", lane(CostClass::Small, small_depth)),
+            ("large", lane(CostClass::Large, large_depth)),
+        ]);
+        let pool = Json::obj([
+            ("capacity", inner.pool.capacity().into()),
+            ("idle_sessions", inner.pool.len().into()),
+            ("hits", pool.hits.into()),
+            ("misses", pool.misses.into()),
+            ("evictions", pool.evictions.into()),
+            ("retired", pool.retired.into()),
+        ]);
+        let memory_entries = inner.result_cache.as_ref().map_or(0, |c| c.memory_len());
+        let result_cache = Json::obj([
+            ("enabled", inner.result_cache.is_some().into()),
+            ("entries", memory_entries.into()),
+            ("hits", rc.hits.into()),
+            ("misses", rc.misses.into()),
+            ("inflight_coalesced", rc.inflight_coalesced.into()),
+            ("disk_hits", rc.disk_hits.into()),
+            ("evictions", rc.evictions.into()),
+            ("disk_evictions", rc.disk_evictions.into()),
+            ("disk_corrupt", rc.disk_corrupt.into()),
+            ("stores", rc.stores.into()),
+            ("uncacheable", rc.uncacheable.into()),
+        ]);
+        Json::obj([
+            ("workers", inner.config.workers.into()),
+            ("queue_capacity", inner.config.queue_capacity.into()),
+            ("queue_depth", (small_depth + large_depth).into()),
+            ("draining", inner.draining.load(Ordering::SeqCst).into()),
+            ("lanes", lanes),
+            ("requests_received", count(&m.received)),
+            ("requests_completed", count(&m.completed)),
+            ("requests_failed", count(&m.failed)),
+            ("rejected_overloaded", count(&m.overloaded)),
+            ("timeouts", count(&m.timeouts)),
+            ("abandoned_skipped", count(&m.abandoned_skipped)),
+            ("abandoned_completed", count(&m.abandoned_completed)),
+            ("cancelled_in_flight", count(&m.cancelled_in_flight)),
+            ("degraded", count(&m.degraded)),
+            ("resource_limited", count(&m.resource_limited)),
+            ("sessions_retired", count(&m.sessions_retired)),
+            ("simulate_requests", count(&m.simulate_requests)),
+            ("simulate_completed", count(&m.simulate_completed)),
+            ("pool", pool),
+            ("result_cache", result_cache),
+        ])
     }
 
     fn begin_drain(&self) {

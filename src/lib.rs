@@ -132,8 +132,9 @@ pub mod prelude {
     pub use iolb_core::{
         analyze, analyze_interruptible, Analysis, AnalysisFingerprint, AnalysisOptions,
         AnalysisOutcome, AnalysisReply, AnalyzeError, Analyzer, CachePoint, Degradation,
-        DiskTierConfig, GeneratedTrace, Instance, InstanceTightness, OiSummary, Regime, Report,
-        ResultCache, ResultCacheConfig, TightnessOptions, TightnessReport, Workload,
+        DiskTierConfig, GeneratedTrace, Instance, InstanceTightness, OiSummary, PreflightJson,
+        Regime, Report, ResultCache, ResultCacheConfig, TightnessOptions, TightnessReport,
+        Workload,
     };
     pub use iolb_dfg::{genpaths, Dfg, GenPathsOptions};
     pub use iolb_poly::{
