@@ -88,7 +88,6 @@ impl From<WorkloadError> for AnalyzeError {
 pub struct Analyzer {
     engine: Option<Arc<EngineCtx>>,
     cache_capacity: Option<usize>,
-    cache_enabled: Option<bool>,
     parallel: Option<bool>,
     depth: Option<usize>,
     cache_param: Option<String>,
@@ -112,8 +111,7 @@ impl Analyzer {
     /// Runs the analysis in an existing session instead of a fresh one
     /// (reuses its warm cache; required when the workload holds polyhedral
     /// objects built in that session). [`Analyzer::cache_capacity`] cannot
-    /// apply retroactively and is ignored for a reused session;
-    /// [`Analyzer::cache_enabled`] *is* applied to it.
+    /// apply retroactively and is ignored for a reused session.
     pub fn engine(mut self, engine: Arc<EngineCtx>) -> Self {
         self.engine = Some(engine);
         self
@@ -126,12 +124,6 @@ impl Analyzer {
     /// [`Analyzer::engine`] supplies a session.
     pub fn cache_capacity(mut self, entries: usize) -> Self {
         self.cache_capacity = Some(entries);
-        self
-    }
-
-    /// Enables or disables the session's query cache (default: enabled).
-    pub fn cache_enabled(mut self, enabled: bool) -> Self {
-        self.cache_enabled = Some(enabled);
         self
     }
 
@@ -404,23 +396,11 @@ impl Analyzer {
         tightness_options: Option<&TightnessOptions>,
     ) -> Result<AnalysisOutcome, AnalyzeError> {
         let engine = match &self.engine {
-            Some(engine) => {
-                if let Some(enabled) = self.cache_enabled {
-                    engine.set_cache_enabled(enabled);
-                }
-                engine.clone()
-            }
+            Some(engine) => engine.clone(),
             None => {
                 let defaults = EngineConfig::default();
-                let cache_capacity = self.cache_capacity.unwrap_or(defaults.cache_capacity);
                 EngineCtx::with_config(EngineConfig {
-                    cache_capacity,
-                    // The user-facing budget bounds the projection store too:
-                    // capacity 0 must disable memoization entirely.
-                    projection_cache_capacity: defaults
-                        .projection_cache_capacity
-                        .min(cache_capacity),
-                    cache_enabled: self.cache_enabled.unwrap_or(true),
+                    cache_capacity: self.cache_capacity.unwrap_or(defaults.cache_capacity),
                     ..defaults
                 })
             }
@@ -791,20 +771,18 @@ mod tests {
     }
 
     #[test]
-    fn cache_capacity_and_toggle_reach_the_session() {
-        let outcome = Analyzer::new()
-            .cache_capacity(0)
-            .analyze_with(streaming_dfg)
-            .unwrap();
-        assert_eq!(outcome.cache_entries, 0);
+    fn cache_capacity_reaches_the_session() {
         let uncached = Analyzer::new()
-            .cache_enabled(false)
+            .cache_capacity(0)
             .analyze_with(streaming_dfg)
             .unwrap();
         assert_eq!(uncached.cache_entries, 0);
         assert_eq!(uncached.stats.FEASIBILITY_CACHE_HITS, 0);
+        assert_eq!(uncached.stats.PROJECTION_CACHE_HITS, 0);
+        let cached = Analyzer::new().analyze_with(streaming_dfg).unwrap();
+        assert!(cached.cache_entries > 0);
         assert_eq!(
-            outcome.analysis().q_low.to_string(),
+            cached.analysis().q_low.to_string(),
             uncached.analysis().q_low.to_string(),
             "cache configuration must never change the result"
         );
@@ -813,8 +791,8 @@ mod tests {
     #[test]
     fn zero_query_hit_rates_serialise_as_null() {
         // Regression: a request whose session saw zero queries of some kind
-        // (disabled cache, idle session) must emit `null` hit rates — a 0/0
-        // division would put `NaN`, which is not valid JSON, in the report.
+        // must emit `null` hit rates — a 0/0 division would put `NaN`, which
+        // is not valid JSON, in the report.
         let outcome = Analyzer::new()
             .parallel(false)
             .analyze_with(streaming_dfg)

@@ -167,29 +167,6 @@ impl LinearProgram {
 
     /// Solves the linear program with a two-phase exact simplex.
     pub fn solve(&self) -> LpResult {
-        self.solve_with(&mut || {})
-    }
-
-    /// Solves the linear program, invoking `on_pivot` once per simplex pivot.
-    ///
-    /// The callback is the solver's cooperative-interruption hook: a caller
-    /// running under a deadline (the polyhedral engine's per-request
-    /// [budget](https://docs.rs/) checkpoints, for instance) passes a closure
-    /// that polls its limits and unwinds when one trips. The solver holds no
-    /// shared state, so unwinding out of a pivot is safe — the tableau is
-    /// simply dropped.
-    ///
-    /// ```
-    /// use iolb_math::{LinearProgram, LinearConstraint, Rational};
-    /// let mut lp = LinearProgram::minimize(vec![Rational::ONE, Rational::ONE]);
-    /// lp.add_constraint(LinearConstraint::ge(vec![Rational::ONE, Rational::ZERO], Rational::ONE));
-    /// lp.add_constraint(LinearConstraint::ge(vec![Rational::ZERO, Rational::ONE], Rational::ONE));
-    /// let mut pivots = 0;
-    /// let sol = lp.solve_with(&mut || pivots += 1);
-    /// assert_eq!(sol.value(), Some(Rational::from_int(2)));
-    /// assert!(pivots > 0, "the callback observes every pivot");
-    /// ```
-    pub fn solve_with(&self, on_pivot: &mut dyn FnMut()) -> LpResult {
         // Convert to standard form: maximize c·x subject to A·x = b, x >= 0.
         // Each <= gets a slack, each >= gets a surplus; artificial variables
         // are added for phase 1 where needed.
@@ -265,7 +242,7 @@ impl LinearProgram {
         let rhs_sum: Rational = (0..m).map(|i| tableau[(i, total)]).sum();
         tableau[(m, total)] = -rhs_sum;
 
-        if !Self::run_simplex(&mut tableau, &mut basis, m, total, on_pivot) {
+        if !Self::run_simplex(&mut tableau, &mut basis, m, total) {
             // Phase 1 is always bounded; unbounded here cannot happen.
             return LpResult::Infeasible;
         }
@@ -317,14 +294,7 @@ impl LinearProgram {
         // Forbid artificial columns from re-entering: mark with very positive
         // reduced cost by zeroing them (they are non-basic and will never have
         // a negative reduced cost if we just skip them in pivot selection).
-        if !Self::run_simplex_restricted(
-            &mut tableau,
-            &mut basis,
-            m,
-            total,
-            total_structural,
-            on_pivot,
-        ) {
+        if !Self::run_simplex_restricted(&mut tableau, &mut basis, m, total, total_structural) {
             return LpResult::Unbounded;
         }
 
@@ -340,14 +310,8 @@ impl LinearProgram {
     }
 
     /// Runs simplex iterations allowing all columns. Returns false if unbounded.
-    fn run_simplex(
-        tableau: &mut Matrix,
-        basis: &mut [usize],
-        m: usize,
-        total: usize,
-        on_pivot: &mut dyn FnMut(),
-    ) -> bool {
-        Self::run_simplex_restricted(tableau, basis, m, total, total, on_pivot)
+    fn run_simplex(tableau: &mut Matrix, basis: &mut [usize], m: usize, total: usize) -> bool {
+        Self::run_simplex_restricted(tableau, basis, m, total, total)
     }
 
     /// Runs simplex iterations considering only the first `allowed` columns as
@@ -359,7 +323,6 @@ impl LinearProgram {
         m: usize,
         total: usize,
         allowed: usize,
-        on_pivot: &mut dyn FnMut(),
     ) -> bool {
         // Bland's rule provably never revisits a basis, so iterations are
         // finite; this generous cap (far above any pivot count a non-cycling
@@ -400,7 +363,6 @@ impl LinearProgram {
             let Some(l) = leaving else {
                 return false;
             };
-            on_pivot();
             pivots += 1;
             assert!(
                 pivots <= pivot_cap,
@@ -522,7 +484,8 @@ mod tests {
     #[test]
     fn beales_cycling_example_terminates_under_pivot_cap() {
         // Beale's classic degenerate LP cycles forever under Dantzig's rule;
-        // Bland's rule must terminate, and well under the anti-cycling cap.
+        // Bland's rule must terminate without tripping the solver's
+        // anti-cycling assertion.
         let mut lp = LinearProgram::maximize(vec![rat(3, 4), r(-150), rat(1, 50), r(-6)]);
         lp.add_constraint(LinearConstraint::le(
             vec![rat(1, 4), r(-60), rat(-1, 25), r(9)],
@@ -533,12 +496,8 @@ mod tests {
             r(0),
         ));
         lp.add_constraint(LinearConstraint::le(vec![r(0), r(0), r(1), r(0)], r(1)));
-        let mut pivots = 0usize;
-        let sol = lp.solve_with(&mut || pivots += 1);
+        let sol = lp.solve();
         assert_eq!(sol.value(), Some(rat(1, 20)));
-        // m = 3 constraints, total = 4 vars + 3 slacks + 3 artificials = 10.
-        let cap = 1024 + 16 * (3 + 1) * (10 + 1 + 1);
-        assert!(pivots > 0 && pivots <= cap, "pivots = {pivots}");
     }
 
     #[test]
@@ -585,25 +544,6 @@ mod tests {
                 LpResult::Optimal { .. } | LpResult::Infeasible | LpResult::Unbounded
             ));
         }
-    }
-
-    #[test]
-    fn pivot_callback_can_unwind_mid_solve() {
-        // A budget-style callback that unwinds after the first pivot must
-        // propagate out of solve_with; the tableau is local, so this is safe.
-        let mut lp = LinearProgram::minimize(vec![r(1), r(1)]);
-        lp.add_constraint(LinearConstraint::ge(vec![r(1), r(0)], r(1)));
-        lp.add_constraint(LinearConstraint::ge(vec![r(0), r(1)], r(1)));
-        let hit = std::panic::catch_unwind(|| {
-            let mut fired = false;
-            lp.solve_with(&mut || {
-                if fired {
-                    std::panic::panic_any("deadline");
-                }
-                fired = true;
-            })
-        });
-        assert!(hit.is_err(), "the unwind escapes the pivot loop");
     }
 
     #[test]

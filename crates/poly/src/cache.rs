@@ -25,14 +25,12 @@
 //! ([`crate::engine::EngineConfig::cache_capacity`], surfaced as the CLI's
 //! `--cache-cap`): once full, new results are simply not stored (the cache
 //! never evicts, which keeps lookups cheap and behaviour deterministic).
-//! Disabling a session's cache also clears it — a disabled cache holds no
-//! memory.
+//! A capacity of 0 turns memoization off.
 
 use crate::affine::Constraint;
 use crate::fxhash::{Fingerprint, FingerprintMap};
 use crate::stats::Counters;
 use iolb_symbol::Poly;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::RwLock;
 
 /// Domain separators so the three query kinds (and the parts within a query)
@@ -47,10 +45,12 @@ mod tag {
 
 const SHARDS: usize = 16;
 /// The three boolean/polynomial query kinds the main capacity budget is split
-/// across. The projection cache has its own budget
-/// ([`crate::engine::EngineConfig::projection_cache_capacity`]) because its
-/// values are whole constraint systems, not scalars.
+/// across. The projection cache has its own, smaller budget (at most
+/// [`PROJECTION_CAP`]) because its values are whole constraint systems, not
+/// scalars.
 const KINDS: usize = 3;
+/// Ceiling on memoized projections, whatever the session's capacity.
+const PROJECTION_CAP: usize = 65_536;
 
 struct Sharded<V> {
     shards: Vec<RwLock<FingerprintMap<V>>>,
@@ -87,8 +87,8 @@ impl<V: Clone> Sharded<V> {
     fn clear(&self) {
         for s in &self.shards {
             let mut shard = s.write().unwrap();
-            // Release the backing allocation too: a cleared (or disabled)
-            // cache must not keep its high-water-mark memory resident.
+            // Release the backing allocation too: a cleared cache must not
+            // keep its high-water-mark memory resident.
             *shard = FingerprintMap::default();
         }
     }
@@ -98,12 +98,11 @@ impl<V: Clone> Sharded<V> {
     }
 }
 
-/// One session's memoization state: three sharded fingerprint→result maps
-/// plus the enabled flag. Owned by [`crate::engine::EngineCtx`]; use the
-/// session facade (`set_cache_enabled`, `clear_cache`, `cache_len`) from
-/// outside the crate.
+/// One session's memoization state: the three sharded fingerprint→result
+/// query maps plus the projection store. Owned by
+/// [`crate::engine::EngineCtx`]; use the session facade (`clear_cache`,
+/// `cache_len`) from outside the crate.
 pub(crate) struct QueryCache {
-    enabled: AtomicBool,
     feasibility: Sharded<bool>,
     entailment: Sharded<bool>,
     count: Sharded<Option<Poly>>,
@@ -113,28 +112,19 @@ pub(crate) struct QueryCache {
 impl QueryCache {
     /// Creates a cache whose **total** entry count across the three
     /// boolean/polynomial query kinds is capped by `capacity`, and whose
-    /// projection store is capped by `projection_capacity`. Each budget is
-    /// split evenly over its 16 shards, rounding up per shard (so tiny
-    /// non-zero budgets still store a few entries; the true ceiling is
+    /// projection store is capped by `min(PROJECTION_CAP, capacity)`. Each
+    /// budget is split evenly over its 16 shards, rounding up per shard (so
+    /// tiny non-zero budgets still store a few entries; the true ceiling is
     /// within one entry per shard of the budget). A capacity of 0 disables
-    /// storage for that group entirely.
-    pub(crate) fn new(capacity: usize, projection_capacity: usize, enabled: bool) -> Self {
+    /// storage entirely.
+    pub(crate) fn new(capacity: usize) -> Self {
         let shard_cap = capacity.div_ceil(SHARDS * KINDS);
         QueryCache {
-            enabled: AtomicBool::new(enabled),
             feasibility: Sharded::new(shard_cap),
             entailment: Sharded::new(shard_cap),
             count: Sharded::new(shard_cap),
-            projection: Sharded::new(projection_capacity.div_ceil(SHARDS)),
+            projection: Sharded::new(PROJECTION_CAP.min(capacity).div_ceil(SHARDS)),
         }
-    }
-
-    pub(crate) fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     pub(crate) fn clear(&self) {
@@ -148,8 +138,7 @@ impl QueryCache {
         self.feasibility.len() + self.entailment.len() + self.count.len() + self.projection.len()
     }
 
-    /// Memoizes a feasibility query. `compute` runs on a miss (or when the
-    /// cache is disabled).
+    /// Memoizes a feasibility query. `compute` runs on a miss.
     pub(crate) fn feasibility(
         &self,
         stats: &Counters,
@@ -157,9 +146,6 @@ impl QueryCache {
         nvars: usize,
         compute: impl FnOnce() -> bool,
     ) -> bool {
-        if !self.is_enabled() {
-            return compute();
-        }
         let mut fp = Fingerprint::new(tag::FEASIBILITY);
         fp.add(&nvars);
         fp.add(&sys);
@@ -182,9 +168,6 @@ impl QueryCache {
         target: &Constraint,
         compute: impl FnOnce() -> bool,
     ) -> bool {
-        if !self.is_enabled() {
-            return compute();
-        }
         let mut fp = Fingerprint::new(tag::ENTAILMENT);
         fp.add(&nvars);
         fp.add(&sys);
@@ -210,9 +193,6 @@ impl QueryCache {
         ctx: &[Constraint],
         compute: impl FnOnce() -> Option<Poly>,
     ) -> Option<Poly> {
-        if !self.is_enabled() {
-            return compute();
-        }
         let mut fp = Fingerprint::new(tag::COUNT);
         fp.add(&dim);
         fp.add(&sys);
@@ -243,9 +223,6 @@ impl QueryCache {
         idx: usize,
         compute: impl FnOnce(Vec<Constraint>) -> Vec<Constraint>,
     ) -> Vec<Constraint> {
-        if !self.is_enabled() {
-            return compute(sys);
-        }
         let mut fp = Fingerprint::new(tag::PROJECTION);
         fp.add(&idx);
         fp.add(&sys);
@@ -271,9 +248,6 @@ impl QueryCache {
         nvars: usize,
         compute: impl FnOnce(Vec<Constraint>) -> bool,
     ) -> bool {
-        if !self.is_enabled() {
-            return compute(sys);
-        }
         let mut fp = Fingerprint::new(tag::FEASIBILITY);
         fp.add(&nvars);
         fp.add(&sys);
@@ -314,26 +288,6 @@ mod tests {
         assert!(a && b);
         assert_eq!(calls, 1);
         assert_eq!(e.stats().FEASIBILITY_CACHE_HITS, 1);
-    }
-
-    #[test]
-    fn disabled_cache_always_computes_and_holds_nothing() {
-        let e = EngineCtx::new();
-        e.query_cache()
-            .feasibility(e.counters(), &[c(103)], 1, || true);
-        assert_eq!(e.cache_len(), 1);
-        e.set_cache_enabled(false);
-        assert_eq!(e.cache_len(), 0, "disabling must clear resident entries");
-        let sys = vec![c(103)];
-        let mut calls = 0;
-        for _ in 0..3 {
-            e.query_cache().feasibility(e.counters(), &sys, 1, || {
-                calls += 1;
-                true
-            });
-        }
-        assert_eq!(calls, 3);
-        assert_eq!(e.cache_len(), 0);
     }
 
     #[test]

@@ -68,21 +68,12 @@ pub struct EngineConfig {
     /// is split evenly over the cache shards (rounded up per shard, so the
     /// effective ceiling is within one entry per shard). Once full, new
     /// results are not stored; the cache never evicts, which keeps lookups
-    /// cheap and behaviour deterministic. 0 disables storage.
+    /// cheap and behaviour deterministic. The projection store, whose
+    /// entries are whole constraint systems, holds at most
+    /// `min(65 536, cache_capacity)` of them. 0 disables memoization.
     pub cache_capacity: usize,
-    /// Whether the query cache is consulted at all.
-    pub cache_enabled: bool,
     /// Maximum number of distinct parameter names the session may intern.
     pub interner_capacity: usize,
-    /// Maximum number of memoized single-variable projections (whole
-    /// post-elimination constraint systems, so budgeted separately from the
-    /// scalar-valued query caches). 0 disables projection storage.
-    pub projection_cache_capacity: usize,
-    /// Constraint-count threshold at or above which `fm::prune` escalates
-    /// from structural dedup to exact-LP redundancy elimination. Small
-    /// systems keep the cheap structural pass; `usize::MAX` disables LP
-    /// pruning entirely (the differential oracle's reference configuration).
-    pub lp_prune_threshold: usize,
 }
 
 impl Default for EngineConfig {
@@ -91,10 +82,7 @@ impl Default for EngineConfig {
             // 3 query kinds × 16 shards × 65 536 entries — the same
             // effective per-shard cap as the PR-1 process-wide cache.
             cache_capacity: 3 * 16 * 65_536,
-            cache_enabled: true,
             interner_capacity: 4_096,
-            projection_cache_capacity: 65_536,
-            lp_prune_threshold: 48,
         }
     }
 }
@@ -107,13 +95,7 @@ impl EngineConfig {
     /// (capacities are fixed at session creation and cannot be re-applied to
     /// a live session).
     pub fn fingerprint(&self) -> u64 {
-        crate::fxhash::fingerprint(&(
-            self.cache_capacity,
-            self.cache_enabled,
-            self.interner_capacity,
-            self.projection_cache_capacity,
-            self.lp_prune_threshold,
-        )) as u64
+        crate::fxhash::fingerprint(&(self.cache_capacity, self.interner_capacity)) as u64
     }
 }
 
@@ -172,11 +154,7 @@ impl EngineCtx {
         Arc::new(EngineCtx {
             id,
             interner: ParamTable::new(id, config.interner_capacity),
-            cache: QueryCache::new(
-                config.cache_capacity,
-                config.projection_cache_capacity,
-                config.cache_enabled,
-            ),
+            cache: QueryCache::new(config.cache_capacity),
             stats: Counters::new(),
             budget_active: AtomicBool::new(false),
             budget: Mutex::new(None),
@@ -234,12 +212,6 @@ impl EngineCtx {
         })
     }
 
-    /// True when some session scope is active on this thread (i.e. the
-    /// ambient session is not the global fallback).
-    pub fn in_scope() -> bool {
-        CURRENT.with(|c| !c.borrow().is_empty())
-    }
-
     // --- interner facade ----------------------------------------------
 
     /// Interns a parameter name in this session, returning its stable id
@@ -283,21 +255,6 @@ impl EngineCtx {
     }
 
     // --- cache facade --------------------------------------------------
-
-    /// Enables or disables the query cache. Disabling also **clears** the
-    /// stored entries: a disabled cache holds no memory (this fixed a leak
-    /// where `set_enabled(false)` left stale entries resident forever).
-    pub fn set_cache_enabled(&self, enabled: bool) {
-        self.cache.set_enabled(enabled);
-        if !enabled {
-            self.cache.clear();
-        }
-    }
-
-    /// True when the query cache is consulted.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_enabled()
-    }
 
     /// Drops every memoized query result (capacity is retained).
     ///
@@ -524,16 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn disabling_the_cache_clears_it() {
-        let e = EngineCtx::new();
-        e.query_cache().feasibility(e.counters(), &[], 0, || true);
-        assert_eq!(e.cache_len(), 1);
-        e.set_cache_enabled(false);
-        assert_eq!(e.cache_len(), 0, "stale entries must not stay resident");
-        assert!(!e.cache_enabled());
-    }
-
-    #[test]
     fn config_fingerprints_key_on_every_capacity_knob() {
         let base = EngineConfig::default();
         assert_eq!(base.fingerprint(), EngineConfig::default().fingerprint());
@@ -541,23 +488,13 @@ mod tests {
             cache_capacity: 1,
             ..EngineConfig::default()
         };
-        let disabled = EngineConfig {
-            cache_enabled: false,
-            ..EngineConfig::default()
-        };
-        let no_projection = EngineConfig {
-            projection_cache_capacity: 0,
-            ..EngineConfig::default()
-        };
-        let no_lp = EngineConfig {
-            lp_prune_threshold: usize::MAX,
+        let fewer_names = EngineConfig {
+            interner_capacity: 1,
             ..EngineConfig::default()
         };
         assert_ne!(base.fingerprint(), smaller.fingerprint());
-        assert_ne!(base.fingerprint(), disabled.fingerprint());
-        assert_ne!(smaller.fingerprint(), disabled.fingerprint());
-        assert_ne!(base.fingerprint(), no_projection.fingerprint());
-        assert_ne!(base.fingerprint(), no_lp.fingerprint());
+        assert_ne!(base.fingerprint(), fewer_names.fingerprint());
+        assert_ne!(smaller.fingerprint(), fewer_names.fingerprint());
     }
 
     #[test]

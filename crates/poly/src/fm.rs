@@ -30,11 +30,10 @@ use std::collections::BTreeSet;
 /// points). A constraint whose constant the gcd does not divide is left
 /// unsimplified: flooring it would *tighten* the constraint over the
 /// integers, making the elimination cascade's verdict depend on which
-/// syntactic shadows of a bound happen to be present — exactly the
-/// dependence that would let LP redundancy pruning (exact over the
-/// rationals) change an answer. Keeping normalisation exact makes the whole
-/// kernel decide rational feasibility, for which Fourier–Motzkin is
-/// complete, so every pruning configuration computes the same predicate.
+/// syntactic shadows of a bound happen to be present. Keeping normalisation
+/// exact makes the whole kernel decide rational feasibility, for which
+/// Fourier–Motzkin is complete, so dropping any rationally redundant
+/// constraint can never change a verdict.
 pub(crate) fn normalize_mut(c: &mut Constraint) {
     let mut g: i128 = 0;
     for &x in &c.expr.var_coeffs {
@@ -79,13 +78,6 @@ const COEFF_CAP: i128 = 1 << 60;
 /// Polls the session budget periodically: on blowup-prone systems a single
 /// prune pass can already be long, and the deadline/cancel checkpoints must
 /// fire inside it, not only between eliminations.
-///
-/// When the structurally-deduped system still holds at least
-/// [`lp_prune_threshold`](crate::engine::EngineConfig::lp_prune_threshold)
-/// constraints, the pass escalates to [`crate::redundancy::lp_prune`]:
-/// exact-LP redundancy elimination that removes the semantically (not just
-/// syntactically) implied inequalities feeding the cross-product blowup.
-/// Small systems keep the cheap structural pass alone.
 pub(crate) fn prune(engine: &EngineCtx, constraints: Vec<Constraint>) -> Vec<Constraint> {
     let mut seen = crate::fxhash::FingerprintSet::with_capacity_and_hasher(
         constraints.len(),
@@ -112,9 +104,6 @@ pub(crate) fn prune(engine: &EngineCtx, constraints: Vec<Constraint>) -> Vec<Con
         if seen.insert(crate::fxhash::fingerprint(&c)) {
             out.push(c);
         }
-    }
-    if out.len() >= engine.config().lp_prune_threshold {
-        out = crate::redundancy::lp_prune(engine, out);
     }
     out
 }

@@ -1,56 +1,18 @@
-//! Redundant-constraint elimination: the shared entry points for proving a
-//! constraint implied by the rest of its system and removing it.
+//! Redundant-bound elimination: the entailment-backed sweep the counting
+//! path uses to prove a bound implied by the rest of its system and remove
+//! it.
 //!
-//! Two backends serve two cost regimes:
-//!
-//! * [`drop_redundant_bounds_in`] — **entailment-backed**, used by the
-//!   counting path. It asks the (cached) Fourier–Motzkin entailment oracle
-//!   [`crate::fm::implies_in`] whether each bound on one dimension is implied
-//!   by the rest, and removes implied bounds one at a time so that one of two
-//!   equivalent bounds always survives. This subsumes the ad-hoc restart loop
-//!   `count::drop_redundant_bounds` used to carry: a constraint found
-//!   non-removable can never *become* removable after later removals
-//!   (implication by a subset is stronger than by a superset), so a single
-//!   forward scan removes exactly the constraints the restart loop did.
-//!
-//! * [`lp_prune`] — **exact-LP-backed**, used by the constraint-pruning pass
-//!   of [`crate::fm`] when a
-//!   system crosses the session's
-//!   [`lp_prune_threshold`](crate::engine::EngineConfig::lp_prune_threshold).
-//!   Each inequality is tested for redundancy with one two-phase exact-rational
-//!   simplex solve ([`iolb_math::LinearProgram`]): `e ≥ 0` is redundant iff
-//!   the minimum of `e` over the remaining constraints is non-negative.
-//!   Minimizing (instead of testing feasibility of a negation like
-//!   `e ≤ −1`) keeps the test exact over the rationals with no epsilon: the
-//!   elimination kernel decides *rational* feasibility, and an integer-style
-//!   negation would wrongly drop a bound that only a non-integral rational
-//!   point (e.g. a variable pinned to `3/2` by an equality) can violate.
-//!   Removing only rationally-entailed constraints never changes the
-//!   rational point set — and Fourier–Motzkin is complete for rational
-//!   feasibility — so LP pruning never changes a feasibility or entailment
-//!   verdict. Structural dedup alone lets redundant
-//!   shadows of a bound survive projection rounds and feed the quadratic
-//!   cross-product blowup; the LP pass caps system growth at its semantic
-//!   size.
-//!
-//! Both passes respect the session [`Budget`](crate::budget::Budget): the LP
-//! backend polls the deadline/cancellation checkpoints from **inside** the
-//! simplex pivot loop, so even a single long solve degrades promptly. All
-//! simplex arithmetic runs under [`RationalOverflow::catch`]: an overflowing
-//! solve proves nothing, so the constraint under test is conservatively kept
-//! (dropping a non-redundant constraint would silently relax the system —
-//! the one failure mode an exactness-first engine cannot tolerate).
+//! [`drop_redundant_bounds_in`] asks the (cached) Fourier–Motzkin
+//! entailment oracle [`crate::fm::implies_in`] whether each bound on one
+//! dimension is implied by the rest, and removes implied bounds one at a
+//! time so that one of two equivalent bounds always survives. This subsumes
+//! the ad-hoc restart loop `count::drop_redundant_bounds` used to carry: a
+//! constraint found non-removable can never *become* removable after later
+//! removals (implication by a subset is stronger than by a superset), so a
+//! single forward scan removes exactly the constraints the restart loop did.
 
 use crate::affine::{Constraint, ConstraintKind};
 use crate::engine::EngineCtx;
-use crate::interner::ParamId;
-use iolb_math::{LinearConstraint, LinearProgram, LpResult, Rational, RationalOverflow};
-
-/// Hard cap on the number of constraints [`lp_prune`] will attempt: beyond
-/// this, the quadratic pass (one simplex solve per inequality, each over the
-/// whole system) costs more than the blowup it prevents, and the budget
-/// checkpoints inside `prune`/elimination already guard such systems.
-const LP_MAX_CONSTRAINTS: usize = 256;
 
 /// Removes inequality constraints bounding dimension `idx` that are implied
 /// by the remaining constraints, using the cached entailment oracle.
@@ -83,123 +45,6 @@ pub fn drop_redundant_bounds_in(
         }
     }
     current
-}
-
-/// Removes inequalities proven redundant by an exact-rational LP solve.
-///
-/// Equalities are never dropped (they are cheap for downstream passes — an
-/// equality *removes* a variable by substitution — and dropping one could
-/// only be justified by a pair of entailed inequalities the pass might also
-/// drop). The scan is a single forward pass for the same monotonicity reason
-/// as [`drop_redundant_bounds_in`]. Each solve bumps
-/// [`LP_CALLS`](crate::stats::Snapshot::LP_CALLS); each removal bumps
-/// [`LP_DROPPED_CONSTRAINTS`](crate::stats::Snapshot::LP_DROPPED_CONSTRAINTS).
-pub fn lp_prune(engine: &EngineCtx, constraints: Vec<Constraint>) -> Vec<Constraint> {
-    if constraints.len() > LP_MAX_CONSTRAINTS {
-        return constraints;
-    }
-    // Column mapping shared by every solve in the pass: positional variables
-    // first, then the system's parameters in first-seen order. The LP's
-    // decision variables are non-negative, so each free column x is split
-    // x = x⁺ − x⁻, doubling the width.
-    let nvars = constraints
-        .iter()
-        .map(|c| c.expr.var_coeffs.len())
-        .max()
-        .unwrap_or(0);
-    let mut params: Vec<ParamId> = Vec::new();
-    for c in &constraints {
-        for &(id, _) in &c.expr.param_coeffs {
-            if !params.contains(&id) {
-                params.push(id);
-            }
-        }
-    }
-    let ncols = nvars + params.len();
-
-    let mut current = constraints;
-    let mut i = 0;
-    while i < current.len() {
-        if current[i].kind != ConstraintKind::Inequality {
-            i += 1;
-            continue;
-        }
-        engine.counters().bump_lp_call();
-        let verdict = RationalOverflow::catch(|| {
-            // Minimize the tested expression over the remaining constraints:
-            // `e ≥ 0` is redundant iff min(e) ≥ 0 — exact over the rationals,
-            // no epsilon, and `Infeasible` (empty rest) makes every bound
-            // vacuously redundant.
-            let mut lp = LinearProgram::minimize(lp_columns(&current[i], nvars, &params, ncols));
-            for (j, c) in current.iter().enumerate() {
-                if j != i {
-                    lp.add_constraint(to_lp_constraint(c, nvars, &params, ncols));
-                }
-            }
-            lp.solve_with(&mut || engine.checkpoint_poll())
-        });
-        let redundant = match &verdict {
-            // The objective carries only the variable/parameter columns, so
-            // the affine constant re-enters here: e ≥ 0 on all of rest iff
-            // min(e − constant) + constant ≥ 0.
-            Ok(LpResult::Optimal { value, .. }) => {
-                *value + Rational::from_int(current[i].expr.constant) >= Rational::ZERO
-            }
-            Ok(LpResult::Infeasible) => true,
-            // Unbounded below (not redundant) or overflow (nothing proven).
-            Ok(LpResult::Unbounded) | Err(_) => false,
-        };
-        if redundant {
-            // Re-examine index i, which now holds the next constraint.
-            engine.counters().bump_lp_dropped_constraint();
-            current.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    current
-}
-
-/// The split-variable column coefficients of one constraint's linear part
-/// (the affine constant is *not* represented — rows fold it into the
-/// right-hand side, the objective re-adds it to the optimum).
-fn lp_columns(c: &Constraint, nvars: usize, params: &[ParamId], ncols: usize) -> Vec<Rational> {
-    let mut coeffs = vec![Rational::ZERO; 2 * ncols];
-    let mut set = |col: usize, a: i128| {
-        let r = Rational::from_int(a);
-        coeffs[col] = r;
-        coeffs[ncols + col] = -r;
-    };
-    for (k, &a) in c.expr.var_coeffs.iter().enumerate() {
-        if a != 0 {
-            set(k, a);
-        }
-    }
-    for (j, &p) in params.iter().enumerate() {
-        let a = c.expr.param_coeff_id(p);
-        if a != 0 {
-            set(nvars + j, a);
-        }
-    }
-    coeffs
-}
-
-/// Lowers one affine constraint into the split-variable LP row layout of
-/// [`lp_prune`]: `expr ≥ 0` / `expr = 0` become `Σ a·x ≥ −constant` /
-/// `= −constant`.
-fn to_lp_constraint(
-    c: &Constraint,
-    nvars: usize,
-    params: &[ParamId],
-    ncols: usize,
-) -> LinearConstraint {
-    let coeffs = lp_columns(c, nvars, params, ncols);
-    let minus_constant = -Rational::from_int(c.expr.constant);
-    if c.kind == ConstraintKind::Equality {
-        LinearConstraint::eq(coeffs, minus_constant)
-    } else {
-        LinearConstraint::ge(coeffs, minus_constant)
-    }
 }
 
 #[cfg(test)]
@@ -295,80 +140,6 @@ mod tests {
             let reference = restart_loop_reference(e, sys, 0, 1);
             assert_eq!(fast, reference);
             assert_eq!(fast.len(), 2, "one of the two equivalent bounds dropped");
-        });
-    }
-
-    #[test]
-    fn lp_prune_drops_implied_inequalities_only() {
-        in_session(|e| {
-            let sys = vec![
-                Constraint::ge0(var(1, 0)),
-                Constraint::ge0(var(1, 0).add(&cst(1, 7))), // implied by x >= 0
-                Constraint::ge0(par(1, "N").sub(&var(1, 0))),
-                Constraint::eq(par(1, "N").sub(&cst(1, 4))), // equalities survive
-            ];
-            let pruned = lp_prune(e, sys);
-            assert_eq!(pruned.len(), 3);
-            assert!(!pruned.contains(&Constraint::ge0(var(1, 0).add(&cst(1, 7)))));
-            assert!(pruned.iter().any(|c| c.kind == ConstraintKind::Equality));
-            assert_eq!(e.stats().LP_CALLS, 3, "one solve per inequality");
-            assert_eq!(e.stats().LP_DROPPED_CONSTRAINTS, 1);
-        });
-    }
-
-    #[test]
-    fn lp_prune_keeps_integer_only_tight_bounds() {
-        in_session(|e| {
-            // x >= 1 is NOT redundant given 2x >= 1 over the rationals
-            // (x = 1/2 satisfies the latter, violates the former): the exact
-            // minimization min(x − 1) = −1/2 < 0 keeps it. (The integer-style
-            // entailment `implies_in` uses at query level would certify it —
-            // x <= 0 contradicts x >= 1/2 — but inside the elimination
-            // cascade only the rationally-exact test preserves verdicts.)
-            let sys = vec![
-                Constraint::ge0(var(1, 0).scale(2).sub(&cst(1, 1))),
-                Constraint::ge0(var(1, 0).sub(&cst(1, 1))),
-            ];
-            let pruned = lp_prune(e, sys);
-            // 2x >= 1 IS redundant given x >= 1; x >= 1 is not redundant
-            // given 2x >= 1. The forward scan tests 2x >= 1 first.
-            assert_eq!(pruned, vec![Constraint::ge0(var(1, 0).sub(&cst(1, 1)))]);
-        });
-    }
-
-    #[test]
-    fn lp_prune_agrees_with_entailment_oracle() {
-        in_session(|e| {
-            // On a mixed system with parameters, every constraint the LP
-            // pass drops must be one `implies_in` also certifies.
-            let sys = vec![
-                Constraint::ge0(var(2, 0)),
-                Constraint::ge0(var(2, 1).sub(&var(2, 0))),
-                Constraint::ge0(par(2, "N").sub(&var(2, 1)).sub(&cst(2, 1))),
-                Constraint::ge0(par(2, "N").sub(&var(2, 0))), // implied
-                Constraint::ge0(var(2, 1).add(&cst(2, 2))),   // implied
-            ];
-            let pruned = lp_prune(e, sys.clone());
-            for dropped in sys.iter().filter(|c| !pruned.contains(c)) {
-                let rest: Vec<Constraint> = sys.iter().filter(|c| *c != dropped).cloned().collect();
-                assert!(
-                    crate::fm::implies_in(e, &rest, 2, dropped),
-                    "LP dropped a constraint entailment does not certify: {dropped:?}"
-                );
-            }
-            assert!(pruned.len() < sys.len(), "the implied shadows are gone");
-        });
-    }
-
-    #[test]
-    fn oversized_systems_are_left_alone() {
-        in_session(|e| {
-            let sys: Vec<Constraint> = (0..LP_MAX_CONSTRAINTS as i128 + 1)
-                .map(|k| Constraint::ge0(var(1, 0).add(&cst(1, k))))
-                .collect();
-            let out = lp_prune(e, sys.clone());
-            assert_eq!(out, sys);
-            assert_eq!(e.stats().LP_CALLS, 0, "the guard fires before any solve");
         });
     }
 }

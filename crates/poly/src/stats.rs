@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! counters {
-    ($($(#[$doc:meta])* $NAME:ident / $field:ident / $bump:ident),+ $(,)?) => {
+    ($($(#[$doc:meta])* $NAME:ident / $field:ident $(/ $bump:ident)?),+ $(,)?) => {
         /// One session's operation counters (all relaxed atomics).
         #[derive(Default)]
         pub struct Counters {
@@ -26,12 +26,12 @@ macro_rules! counters {
                 Counters::default()
             }
 
-            $(
+            $($(
                 #[inline]
                 pub(crate) fn $bump(&self) {
                     self.$field.fetch_add(1, Ordering::Relaxed);
                 }
-            )+
+            )?)+
 
             /// Reads every counter (relaxed; values are advisory).
             pub fn snapshot(&self) -> Snapshot {
@@ -84,10 +84,11 @@ counters! {
     COUNT_CALLS / count_calls / bump_count_call,
     /// Cardinality computations answered from the cache.
     COUNT_CACHE_HITS / count_cache_hits / bump_count_cache_hit,
-    /// Exact-simplex solves issued by `redundancy` for LP-based pruning.
-    LP_CALLS / lp_calls / bump_lp_call,
-    /// Constraints proven redundant and dropped by an LP solve.
-    LP_DROPPED_CONSTRAINTS / lp_dropped_constraints / bump_lp_dropped_constraint,
+    /// Always 0: the engine has no LP redundancy pruner. Kept because
+    /// `engine_stats` in schema-v1 documents carries it.
+    LP_CALLS / lp_calls,
+    /// Always 0, like [`LP_CALLS`](Snapshot::LP_CALLS); kept for schema v1.
+    LP_DROPPED_CONSTRAINTS / lp_dropped_constraints,
     /// Feasibility eliminations where the greedy ordering heuristic picked a
     /// variable other than the fixed highest-index default.
     GREEDY_REORDERS / greedy_reorders / bump_greedy_reorder,
@@ -95,8 +96,8 @@ counters! {
     PROJECTION_CACHE_HITS / projection_cache_hits / bump_projection_cache_hit,
 }
 
-/// `hits / total`, or `None` when no query of the kind ran at all — a
-/// disabled cache or an idle session has **no** hit rate, which is not the
+/// `hits / total`, or `None` when no query of the kind ran at all — an
+/// idle session has **no** hit rate, which is not the
 /// same thing as a 0% one (and naively dividing would put a `NaN`, which is
 /// not valid JSON, into the serialised reports).
 fn rate(hits: u64, total: u64) -> Option<f64> {
@@ -187,8 +188,8 @@ mod tests {
 
     #[test]
     fn hit_rates_divide_safely() {
-        // Regression: a session that saw zero queries (disabled cache, idle
-        // session) has no hit rate at all — `None`, which serialises as
+        // Regression: a session that saw zero queries (an idle session) has
+        // no hit rate at all — `None`, which serialises as
         // JSON `null` — never a 0/0 division (NaN is not valid JSON).
         let s = Snapshot::default();
         assert_eq!(s.feasibility_hit_rate(), None);

@@ -1006,9 +1006,6 @@ fn execute(inner: &Inner, job: &Job, queue_ms: f64) -> String {
     let mut engine_config = EngineConfig::default();
     if let Some(cap) = request.cache_cap {
         engine_config.cache_capacity = cap;
-        // The client budget bounds the projection store too (capacity 0
-        // disables memoization entirely), matching `Analyzer::cache_capacity`.
-        engine_config.projection_cache_capacity = engine_config.projection_cache_capacity.min(cap);
     }
     let checkout = inner.pool.checkout(&engine_config);
 

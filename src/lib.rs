@@ -92,9 +92,9 @@
 //! * **Memoization** ([`poly::cache`]): feasibility, entailment and symbolic
 //!   cardinality queries are memoized per session, keyed by fingerprints of
 //!   the *exact* query inputs — a cached answer is bit-identical to
-//!   recomputation, so the cache can never change a result. Capacity and
-//!   enablement are per-session ([`EngineConfig`]); [`poly::stats`] counts
-//!   operations and hit rates.
+//!   recomputation, so the cache can never change a result. Capacity is
+//!   per-session ([`EngineConfig`]; 0 turns memoization off);
+//!   [`poly::stats`] counts operations and hit rates.
 //! * **Parallel driver** ([`core::driver`]): candidate-bound derivation is
 //!   independent per (parametrization depth, statement) pair, so
 //!   `AnalysisOptions { parallel: true, .. }` (the default) fans those jobs

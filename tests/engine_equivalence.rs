@@ -14,7 +14,7 @@ fn cached_parallel_q_low_matches_serial_uncached_on_every_kernel() {
     for kernel in iolb::polybench::all_kernels() {
         let serial = Analyzer::new()
             .parallel(false)
-            .cache_enabled(false)
+            .cache_capacity(0)
             .analyze(&kernel)
             .unwrap();
         let fast = Analyzer::new().parallel(true).analyze(&kernel).unwrap();
@@ -188,35 +188,34 @@ fn repeated_analysis_in_one_session_is_deterministic_and_warm() {
     );
 }
 
-/// The LP pivot loop is a budget checkpoint: an expired deadline must trip
-/// `EngineInterrupt::Deadline` from *inside* an exact-simplex solve — before
-/// a single Fourier–Motzkin elimination has run — and surface as a typed,
-/// catchable interrupt rather than a wedged pivot loop.
+/// The prune pass is a budget checkpoint: on the default engine
+/// configuration, an expired deadline must trip `EngineInterrupt::Deadline`
+/// from *inside* a plain `fm::is_feasible_in` — before a single
+/// Fourier–Motzkin elimination has run — and surface as a typed, catchable
+/// interrupt rather than a wedged loop.
 #[test]
-fn expired_deadline_trips_inside_lp_pivot_checkpoints() {
+fn expired_deadline_trips_inside_prune_checkpoints() {
+    use iolb::poly::{Constraint, LinExpr};
     use std::time::Duration;
 
-    // Force LP pruning for essentially every system, then install an
-    // already-expired deadline. The first feasibility query reaches
-    // `redundancy::lp_prune` during its prune pass, and the pivot callback
-    // raises before any elimination happens.
-    let engine = EngineCtx::with_config(EngineConfig {
-        lp_prune_threshold: 2,
-        ..EngineConfig::default()
-    });
+    // `x + k >= 0` for 1100 distinct k, and `x <= 10`: the structural prune
+    // of the input system polls the budget every 1024 constraints, so the
+    // already-expired deadline raises there, ahead of any elimination.
+    let engine = EngineCtx::new();
     engine.install_budget(Budget::none().deadline_in(Duration::ZERO));
     let result = engine.scope(|| {
         EngineInterrupt::catch(|| {
-            let s = parse_set("{ S[x, y] : 0 <= x <= 10 and x >= 1 and 0 <= y <= x + 4 }").unwrap();
-            iolb::poly::fm::is_feasible_in(&EngineCtx::current(), s.constraints(), s.dim())
+            let mut sys: Vec<Constraint> = (0..1100)
+                .map(|k| Constraint::ge0(LinExpr::var(1, 0).add(&LinExpr::constant(1, k))))
+                .collect();
+            sys.push(Constraint::ge0(
+                LinExpr::constant(1, 10).sub(&LinExpr::var(1, 0)),
+            ));
+            iolb::poly::fm::is_feasible_in(&EngineCtx::current(), &sys, 1)
         })
     });
     engine.clear_budget();
     assert_eq!(result, Err(EngineInterrupt::Deadline));
-    assert!(
-        engine.stats().LP_CALLS >= 1,
-        "the interrupt must come from inside an LP solve"
-    );
     assert_eq!(
         engine.stats().FM_ELIMINATIONS,
         0,
