@@ -47,6 +47,8 @@ fn analysis_time() {
 /// cholesky-update statement domains.
 fn fm_projection_micro() {
     println!("== fm::eliminate_var (projection micro-bench) ==");
+    let engine = EngineCtx::new();
+    let _session = engine.enter();
     let cases = [
         (
             "gemm-domain",
@@ -57,7 +59,6 @@ fn fm_projection_micro() {
             "[N] -> { S3[k, i, j] : 0 <= k < N and k + 1 <= i < N and k + 1 <= j <= i }",
         ),
     ];
-    let engine = EngineCtx::current();
     for (label, text) in cases {
         let set = iolb_poly::parse_set(text).expect("parsable domain");
         let constraints = set.constraints().to_vec();
@@ -75,6 +76,8 @@ fn fm_projection_micro() {
 /// Micro-benchmark: symbolic counting of the same two domains.
 fn count_micro() {
     println!("== count::card_basic_in (symbolic counting micro-bench) ==");
+    let engine = EngineCtx::new();
+    let _session = engine.enter();
     let ctx = Context::empty()
         .assume_ge("N", 8)
         .assume_ge("Ni", 8)
@@ -90,7 +93,6 @@ fn count_micro() {
             "[N] -> { S3[k, i, j] : 0 <= k < N and k + 1 <= i < N and k + 1 <= j <= i }",
         ),
     ];
-    let engine = EngineCtx::current();
     for (label, text) in cases {
         let set = iolb_poly::parse_set(text).expect("parsable domain");
         bench(&format!("count {label}"), 50, || {

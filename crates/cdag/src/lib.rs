@@ -256,11 +256,6 @@ impl<'a> PebbleGame<'a> {
     pub fn loads(&self) -> u64 {
         self.loads
     }
-
-    /// Returns true once every compute vertex holds a white pebble.
-    pub fn is_complete(&self) -> bool {
-        (0..self.cdag.len()).all(|v| self.white.contains(&v))
-    }
 }
 
 /// Runs the pebble game under the CDAG's topological order and returns the
@@ -291,6 +286,7 @@ pub fn validate_lower_bound(
 mod tests {
     use super::*;
     use iolb_dfg::Dfg;
+    use iolb_poly::EngineCtx;
 
     fn example1(m: i128, n: i128) -> (Dfg, Vec<(&'static str, i128)>) {
         let dfg = Dfg::builder()
@@ -319,6 +315,7 @@ mod tests {
 
     #[test]
     fn instantiation_counts_vertices() {
+        let _session = EngineCtx::new().enter();
         let (dfg, params) = example1(4, 5);
         let cdag = Cdag::instantiate(&dfg, &params, 16);
         // 5 A-inputs + 4 C-inputs + 20 compute vertices.
@@ -329,6 +326,7 @@ mod tests {
 
     #[test]
     fn topological_order_is_complete_and_valid() {
+        let _session = EngineCtx::new().enter();
         let (dfg, params) = example1(4, 5);
         let cdag = Cdag::instantiate(&dfg, &params, 16);
         let order = cdag.topological_order();
@@ -346,6 +344,7 @@ mod tests {
 
     #[test]
     fn pebble_game_counts_compulsory_loads() {
+        let _session = EngineCtx::new().enter();
         let (dfg, params) = example1(3, 4);
         let cdag = Cdag::instantiate(&dfg, &params, 16);
         // With a huge cache, each input is loaded exactly once.
@@ -355,6 +354,7 @@ mod tests {
 
     #[test]
     fn small_cache_forces_more_loads() {
+        let _session = EngineCtx::new().enter();
         let (dfg, params) = example1(6, 7);
         let cdag = Cdag::instantiate(&dfg, &params, 20);
         let big = simulate_topological(&cdag, 1024);
@@ -363,8 +363,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "executing a vertex before its predecessor")]
     fn executing_before_predecessor_panics() {
+        let _session = EngineCtx::new().enter();
         let (dfg, params) = example1(3, 3);
         let cdag = Cdag::instantiate(&dfg, &params, 16);
         // Find a vertex with a compute predecessor and execute it first.
@@ -376,6 +377,7 @@ mod tests {
 
     #[test]
     fn validation_accepts_sound_bounds_and_rejects_unsound_ones() {
+        let _session = EngineCtx::new().enter();
         let (dfg, params) = example1(4, 6);
         let cdag = Cdag::instantiate(&dfg, &params, 16);
         let measured = simulate_topological(&cdag, 4);

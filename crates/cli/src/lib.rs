@@ -164,6 +164,22 @@ enum Target {
     Kernel(String),
 }
 
+impl Target {
+    /// The workload to analyse: a source file, or a built-in kernel by name.
+    fn workload(&self) -> Result<Box<dyn iolb_core::Workload>, CliError> {
+        Ok(match self {
+            Target::File(path) => Box::new(IolbFile::new(path)),
+            Target::Kernel(kname) => {
+                Box::new(iolb_polybench::kernel_by_name(kname).ok_or_else(|| {
+                    err(format!(
+                        "unknown kernel `{kname}` (see `iolb kernels` for the list)"
+                    ))
+                })?)
+            }
+        })
+    }
+}
+
 /// Runs the CLI with the given arguments (excluding the program name).
 /// Returns the stdout payload.
 ///
@@ -350,18 +366,9 @@ fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
     if args.json && !args.no_result_cache {
         analyzer = analyzer.result_cache(process_result_cache());
     }
-    let reply = match &args.target {
-        Target::File(path) => analyzer.analyze_cached(&IolbFile::new(path)),
-        Target::Kernel(kname) => {
-            let kernel = iolb_polybench::kernel_by_name(kname).ok_or_else(|| {
-                err(format!(
-                    "unknown kernel `{kname}` (see `iolb kernels` for the list)"
-                ))
-            })?;
-            analyzer.analyze_cached(&kernel)
-        }
-    }
-    .map_err(|e| err(e.to_string()))?;
+    let reply = analyzer
+        .analyze_cached(args.target.workload()?.as_ref())
+        .map_err(|e| err(e.to_string()))?;
     if args.json {
         return Ok(reply.to_json());
     }
@@ -521,18 +528,9 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
             analyzer.assume_ge(name.clone(), *value)
         };
     }
-    let report = match &args.target {
-        Target::File(path) => analyzer.preflight(&IolbFile::new(path)),
-        Target::Kernel(kname) => {
-            let kernel = iolb_polybench::kernel_by_name(kname).ok_or_else(|| {
-                err(format!(
-                    "unknown kernel `{kname}` (see `iolb kernels` for the list)"
-                ))
-            })?;
-            analyzer.preflight(&kernel)
-        }
-    }
-    .map_err(|e| err(e.to_string()))?;
+    let report = analyzer
+        .preflight(args.target.workload()?.as_ref())
+        .map_err(|e| err(e.to_string()))?;
     let text = if args.json {
         format!("{}\n", preflight_json(&report).render())
     } else {
@@ -731,18 +729,9 @@ fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
         options = options.max_trace(n);
     }
 
-    let outcome = match &args.target {
-        Target::File(path) => analyzer.analyze_with_tightness(&IolbFile::new(path), &options),
-        Target::Kernel(kname) => {
-            let kernel = iolb_polybench::kernel_by_name(kname).ok_or_else(|| {
-                err(format!(
-                    "unknown kernel `{kname}` (see `iolb kernels` for the list)"
-                ))
-            })?;
-            analyzer.analyze_with_tightness(&kernel, &options)
-        }
-    }
-    .map_err(|e| err(e.to_string()))?;
+    let outcome = analyzer
+        .analyze_with_tightness(args.target.workload()?.as_ref(), &options)
+        .map_err(|e| err(e.to_string()))?;
     if args.json {
         return Ok(outcome.to_json());
     }

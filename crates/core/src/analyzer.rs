@@ -2,7 +2,7 @@
 //! analysis.
 //!
 //! Where [`crate::analyze`] is the bare Algorithm-6 kernel (DFG + options in,
-//! [`Analysis`] out, engine state taken from the ambient session), the
+//! [`Analysis`] out, engine state taken from the session the caller entered), the
 //! `Analyzer` owns the whole lifecycle of one analysis request, the way a
 //! long-running service needs it:
 //!
@@ -727,7 +727,7 @@ mod tests {
         fn prepare(&self) -> Result<PreparedWorkload, WorkloadError> {
             iolb_polybench::kernel_by_name("gemm")
                 .unwrap()
-                .dfg
+                .dfg()
                 .prepare()
         }
     }
@@ -937,6 +937,7 @@ mod tests {
 
     #[test]
     fn cache_param_override_rekeys_instances() {
+        let _session = EngineCtx::new().enter();
         let options = AnalysisOptions {
             cache_param: "Cap".to_string(),
             ..AnalysisOptions::default()

@@ -249,6 +249,7 @@ mod tests {
     use super::*;
     use crate::bound::Technique;
     use iolb_poly::parse_set;
+    use iolb_poly::EngineCtx;
 
     fn ctx() -> Context {
         Context::empty().assume_ge("N", 4).assume_ge("M", 4)
@@ -270,6 +271,7 @@ mod tests {
 
     #[test]
     fn disjoint_bounds_are_summed() {
+        let _session = EngineCtx::new().enter();
         // Example 3 (Fig. 4): two sub-CDAGs with disjoint may-spill sets, each
         // contributing N²/(2S); the combination is their sum.
         let b1 = bound_with_spill(
@@ -289,6 +291,7 @@ mod tests {
 
     #[test]
     fn interfering_bounds_keep_only_the_best() {
+        let _session = EngineCtx::new().enter();
         let b1 = bound_with_spill(
             Poly::param("N") * Poly::param("N"),
             &["[N] -> { S[k, i] : 0 <= k < N and 0 <= i < N }"],
@@ -306,6 +309,7 @@ mod tests {
 
     #[test]
     fn negative_candidates_are_skipped() {
+        let _session = EngineCtx::new().enter();
         let b = bound_with_spill(
             Poly::param("N") - Poly::param("S"),
             &["[N] -> { S[i] : 0 <= i < N }"],
@@ -318,6 +322,7 @@ mod tests {
 
     #[test]
     fn slice_disjointness() {
+        let _session = EngineCtx::new().enter();
         // A may-spill set pinned to the slice t = Ω is disjoint across slices.
         let sliced = UnionSet::from_set(
             parse_set("[N, Omega] -> { S[t, i] : t = Omega and 0 <= i < N }")
@@ -336,6 +341,7 @@ mod tests {
 
     #[test]
     fn summation_over_outer_loop() {
+        let _session = EngineCtx::new().enter();
         // Per-slice bound N − S with slices Ω = 1 .. M−1 (Example 2): the
         // total is (M−1)(N−S).
         let per_slice = LowerBound {
@@ -385,6 +391,7 @@ mod tests {
 
     #[test]
     fn dim_bounds_extraction() {
+        let _session = EngineCtx::new().enter();
         let d = parse_set("[M, N] -> { S[t, i] : 1 <= t < M and 0 <= i < N }").unwrap();
         let (lo, hi) = dim_bounds(&d, 0, &ctx()).unwrap();
         assert_eq!(lo.to_string(), "1");
@@ -396,6 +403,7 @@ mod tests {
 
     #[test]
     fn input_size_sums_arrays() {
+        let _session = EngineCtx::new().enter();
         let g = iolb_dfg::Dfg::builder()
             .input("A", "[N] -> { A[i] : 0 <= i < N }")
             .input("B", "[M, N] -> { B[i, j] : 0 <= i < M and 0 <= j < N }")

@@ -529,6 +529,7 @@ fn covers_gamma_fraction(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iolb_poly::EngineCtx;
 
     fn gemm() -> Dfg {
         Dfg::builder()
@@ -566,6 +567,7 @@ mod tests {
 
     #[test]
     fn gemm_analysis_matches_table1() {
+        let _session = EngineCtx::new().enter();
         let g = gemm();
         let mut options = AnalysisOptions::with_default_instance(&["Ni", "Nj", "Nk"], 512, 1024);
         options.max_parametrization_depth = 0;
@@ -654,6 +656,7 @@ mod tests {
 
     #[test]
     fn streaming_kernel_gets_input_size_bound() {
+        let _session = EngineCtx::new().enter();
         // A pure streaming kernel (no reuse): Q_low should be the input size.
         let g = Dfg::builder()
             .input("X", "[N] -> { X[i] : 0 <= i < N }")

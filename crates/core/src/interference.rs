@@ -114,6 +114,7 @@ mod tests {
     use super::*;
     use iolb_dfg::{genpaths, Dfg, GenPathsOptions};
     use iolb_math::rat;
+    use iolb_poly::EngineCtx;
 
     /// Cholesky DFG (Fig. 7 of the paper, input array omitted).
     fn cholesky() -> Dfg {
@@ -190,6 +191,7 @@ mod tests {
 
     #[test]
     fn gemm_paths_are_mutually_independent() {
+        let _session = EngineCtx::new().enter();
         let g = gemm();
         let dom = g.node("C").unwrap().domain.clone();
         let paths = genpaths(&g, "C", &dom, &GenPathsOptions::default());
@@ -208,6 +210,7 @@ mod tests {
 
     #[test]
     fn cholesky_betas_match_appendix_a() {
+        let _session = EngineCtx::new().enter();
         let g = cholesky();
         let dom = g.node("S3").unwrap().domain.clone();
         let paths = genpaths(&g, "S3", &dom, &GenPathsOptions::default());
@@ -234,6 +237,7 @@ mod tests {
 
     #[test]
     fn empty_path_list() {
+        let _session = EngineCtx::new().enter();
         let g = gemm();
         let dom = g.node("C").unwrap().domain.clone();
         let interf = coeff_interf(&[], &dom);

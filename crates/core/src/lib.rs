@@ -36,15 +36,17 @@
 //! [`Workload`] (built-in kernel, polyhedral IR, affine-C source) inside it,
 //! and returns an [`AnalysisOutcome`] carrying the [`Analysis`], the
 //! per-session engine statistics and the versioned report. The bare
-//! [`analyze`] function below is the session-agnostic kernel the `Analyzer`
-//! wraps; it runs against the ambient session.
+//! [`analyze`] function below is the kernel the `Analyzer` wraps; the caller
+//! enters a session first, and the DFG is built and analysed inside it.
 //!
 //! ## Example
 //!
 //! ```
 //! use iolb_core::{analyze, AnalysisOptions};
 //! use iolb_dfg::Dfg;
+//! use iolb_poly::EngineCtx;
 //!
+//! let _session = EngineCtx::new().enter();
 //! // Matrix multiplication: C[i][j] += A[i][k] * B[k][j].
 //! let dfg = Dfg::builder()
 //!     .input("A", "[Ni, Nk] -> { A[i, k] : 0 <= i < Ni and 0 <= k < Nk }")

@@ -16,9 +16,11 @@ use std::sync::Mutex;
 /// and returns the results in input order. Falls back to a plain serial map
 /// when there is a single item or a single core.
 ///
-/// The caller's **ambient engine session** is propagated into every worker
-/// thread, so a parallel map inside an [`iolb_poly::EngineCtx`] scope keeps
-/// all polyhedral work (cache, stats, interner) in that session.
+/// The caller's **ambient engine session**, when it has one, is propagated
+/// into every worker thread, so a parallel map inside an
+/// [`iolb_poly::EngineCtx`] scope keeps all polyhedral work (cache, stats,
+/// interner) in that session. Outside a scope the workers run unscoped too,
+/// and each item opens whatever session it needs.
 ///
 /// # Panics
 ///
@@ -37,13 +39,13 @@ where
     if workers <= 1 {
         return items.iter().map(&f).collect();
     }
-    let engine = iolb_poly::EngineCtx::current();
+    let engine = iolb_poly::EngineCtx::try_current();
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| {
-                let _session = engine.enter();
+                let _session = engine.as_ref().map(|engine| engine.enter());
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= n {

@@ -310,6 +310,7 @@ mod tests {
     use super::*;
     use iolb_dfg::{genpaths, Dfg, GenPathsOptions};
     use iolb_math::rat;
+    use iolb_poly::EngineCtx;
     use std::collections::BTreeMap;
 
     fn ctx() -> Context {
@@ -363,6 +364,7 @@ mod tests {
 
     #[test]
     fn gemm_partition_bound_is_2n3_over_sqrt_s() {
+        let _session = EngineCtx::new().enter();
         let g = gemm();
         let dom = g.node("C").unwrap().domain.clone();
         let paths: Vec<DfgPath> = genpaths(&g, "C", &dom, &GenPathsOptions::default())
@@ -396,6 +398,7 @@ mod tests {
 
     #[test]
     fn example1_partition_bound_is_mn_over_s() {
+        let _session = EngineCtx::new().enter();
         // Example 1 (Fig. 1/2): one chain along t, one broadcast from C.
         // With the summed-projection trick the bound is MN/S·S = MN/S · T
         // with T = S, i.e. asymptotically M·N/S · S = ... the leading term
@@ -453,6 +456,7 @@ mod tests {
 
     #[test]
     fn zero_paths_gives_no_bound() {
+        let _session = EngineCtx::new().enter();
         let g = gemm();
         let dom = g.node("C").unwrap().domain.clone();
         let lattice = Lattice::new(3);
@@ -468,6 +472,7 @@ mod tests {
 
     #[test]
     fn single_full_rank_broadcast_gives_no_bound() {
+        let _session = EngineCtx::new().enter();
         // A single broadcast with a full-dimensional kernel complement
         // (σ = 1) cannot produce a K-partition bound.
         let g = Dfg::builder()
@@ -496,6 +501,7 @@ mod tests {
 
     #[test]
     fn may_spill_contains_domain_and_sources() {
+        let _session = EngineCtx::new().enter();
         let g = gemm();
         let dom = g.node("C").unwrap().domain.clone();
         let paths: Vec<DfgPath> = genpaths(&g, "C", &dom, &GenPathsOptions::default())

@@ -186,6 +186,7 @@ mod tests {
     use super::*;
     use crate::driver::{analyze, AnalysisOptions};
     use iolb_dfg::Dfg;
+    use iolb_poly::EngineCtx;
 
     fn simple() -> Dfg {
         Dfg::builder()
@@ -198,6 +199,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
+        let _session = EngineCtx::new().enter();
         let g = simple();
         let options = AnalysisOptions::with_default_instance(&["N"], 1000, 128);
         let analysis = analyze(&g, &options);
@@ -212,6 +214,7 @@ mod tests {
 
     #[test]
     fn report_serialises_to_json() {
+        let _session = EngineCtx::new().enter();
         let g = simple();
         let options = AnalysisOptions::with_default_instance(&["N"], 1000, 128);
         let analysis = analyze(&g, &options);

@@ -921,7 +921,7 @@ mod tests {
     use super::*;
 
     fn gemm_dfg() -> Dfg {
-        iolb_polybench::kernel_by_name("gemm").unwrap().dfg
+        iolb_polybench::kernel_by_name("gemm").unwrap().dfg()
     }
 
     fn touch_oracle(
@@ -946,6 +946,7 @@ mod tests {
     /// and the reduction collapse of `C[i,j,k]` onto the cell `C[i,j]`.
     #[test]
     fn gemm_trace_matches_hand_written_oracle() {
+        let _session = EngineCtx::new().enter();
         let (ni, nj, nk) = (3i128, 4i128, 5i128);
         let instance = Instance::new().set("Ni", ni).set("Nj", nj).set("Nk", nk);
         let generated = generate_trace(&gemm_dfg(), &instance, DEFAULT_MAX_TRACE).unwrap();
@@ -981,6 +982,7 @@ mod tests {
 
     #[test]
     fn trace_budget_truncates_instead_of_hanging() {
+        let _session = EngineCtx::new().enter();
         let instance = Instance::new().set("Ni", 8).set("Nj", 8).set("Nk", 8);
         let generated = generate_trace(&gemm_dfg(), &instance, 10).unwrap();
         assert!(generated.truncated);
@@ -989,6 +991,7 @@ mod tests {
 
     #[test]
     fn missing_parameter_is_an_error_not_a_panic() {
+        let _session = EngineCtx::new().enter();
         let instance = Instance::new().set("Ni", 4).set("Nj", 4);
         let err = generate_trace(&gemm_dfg(), &instance, 100).unwrap_err();
         assert!(err.message.contains("Nk"), "{}", err.message);
@@ -996,6 +999,7 @@ mod tests {
 
     #[test]
     fn oversized_instances_degrade_to_an_error() {
+        let _session = EngineCtx::new().enter();
         let instance = Instance::new().set("Ni", 1 << 30).set("Nj", 4).set("Nk", 4);
         let err = generate_trace(&gemm_dfg(), &instance, 100).unwrap_err();
         assert!(err.message.contains("too large"), "{}", err.message);
@@ -1011,6 +1015,7 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_across_runs() {
+        let _session = EngineCtx::new().enter();
         let instance = Instance::new().set("Ni", 4).set("Nj", 4).set("Nk", 4);
         let a = generate_trace(&gemm_dfg(), &instance, DEFAULT_MAX_TRACE).unwrap();
         let b = generate_trace(&gemm_dfg(), &instance, DEFAULT_MAX_TRACE).unwrap();

@@ -299,6 +299,7 @@ fn rename_to(set: &Set, name: &str) -> Set {
 mod tests {
     use super::*;
     use iolb_dfg::Dfg;
+    use iolb_poly::EngineCtx;
 
     fn ctx() -> Context {
         Context::empty().assume_ge("N", 4).assume_ge("M", 4)
@@ -343,6 +344,7 @@ mod tests {
 
     #[test]
     fn example2_wavefront_is_n_minus_s() {
+        let _session = EngineCtx::new().enter();
         let g = example2();
         let slice = iolb_poly::parse_set(
             "[M, N, Omega0] -> { S2[t, i] : t = Omega0 and 0 <= t < M and 0 <= i < N }",
@@ -375,6 +377,7 @@ mod tests {
 
     #[test]
     fn no_circuits_no_bound() {
+        let _session = EngineCtx::new().enter();
         // A pure streaming statement with no reuse circuit has no wavefront.
         let g = Dfg::builder()
             .input("A", "[N] -> { A[i] : 0 <= i < N }")
@@ -401,6 +404,7 @@ mod tests {
 
     #[test]
     fn gemm_wavefront_is_the_k_slice() {
+        let _session = EngineCtx::new().enter();
         // For gemm the only circuit is the accumulation chain along k; the
         // wavefront between consecutive k-slices is the Ni·Nj accumulators.
         let g = Dfg::builder()
@@ -437,6 +441,7 @@ mod tests {
 
     #[test]
     fn advance_dim_out_of_range() {
+        let _session = EngineCtx::new().enter();
         let g = example2();
         let slice = g.node("S2").unwrap().domain.clone();
         let input = WavefrontInput {

@@ -129,6 +129,7 @@ mod tests {
 
     #[test]
     fn dfg_params_collects_and_sorts() {
+        let _session = EngineCtx::new().enter();
         let dfg = Dfg::builder()
             .input("X", "[N, M] -> { X[i] : 0 <= i < N + M }")
             .statement("S", "[N] -> { S[i] : 0 <= i < N }")

@@ -10,6 +10,7 @@
 
 use iolb_core::{AnalysisFingerprint, Analyzer, PreparedWorkload, Workload, WorkloadError};
 use iolb_frontend::IolbSource;
+use iolb_poly::EngineCtx;
 
 /// xorshift64* — deterministic, dependency-free.
 struct Rng(u64);
@@ -222,6 +223,7 @@ fn knob_order_is_canonicalized_but_knob_values_are_not() {
 
 #[test]
 fn execution_knobs_are_excluded_and_overrides_opt_out() {
+    let _session = EngineCtx::new().enter();
     let w = Keyed("exec");
     let base = Analyzer::new().fingerprint(&w).unwrap();
     // Parallelism and session-cache sizing cannot change the report bytes

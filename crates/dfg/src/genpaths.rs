@@ -120,6 +120,7 @@ pub fn genpaths(
 mod tests {
     use super::*;
     use crate::path::PathKind;
+    use iolb_poly::EngineCtx;
 
     fn example1() -> Dfg {
         Dfg::builder()
@@ -191,6 +192,7 @@ mod tests {
 
     #[test]
     fn example1_paths() {
+        let _session = EngineCtx::new().enter();
         let g = example1();
         let dom = g.node("S").unwrap().domain.clone();
         let paths = genpaths(&g, "S", &dom, &GenPathsOptions::default());
@@ -205,6 +207,7 @@ mod tests {
 
     #[test]
     fn cholesky_s3_paths() {
+        let _session = EngineCtx::new().enter();
         let g = cholesky();
         let dom = g.node("S3").unwrap().domain.clone();
         let paths = genpaths(&g, "S3", &dom, &GenPathsOptions::default());
@@ -228,6 +231,7 @@ mod tests {
 
     #[test]
     fn kernel_sorting() {
+        let _session = EngineCtx::new().enter();
         let g = cholesky();
         let dom = g.node("S3").unwrap().domain.clone();
         let paths = genpaths(&g, "S3", &dom, &GenPathsOptions::default());
@@ -239,6 +243,7 @@ mod tests {
 
     #[test]
     fn budget_limits_walks() {
+        let _session = EngineCtx::new().enter();
         let g = cholesky();
         let dom = g.node("S3").unwrap().domain.clone();
         let tight = GenPathsOptions {
@@ -251,6 +256,7 @@ mod tests {
 
     #[test]
     fn restricted_domain_changes_paths() {
+        let _session = EngineCtx::new().enter();
         let g = example1();
         // Restrict S's domain to the first time-slice: the chain circuit can
         // no longer step inside it in a full-dimensional way, but the

@@ -85,6 +85,7 @@ impl From<ParseError> for DfgError {
 ///
 /// ```
 /// use iolb_dfg::Dfg;
+/// # let _session = iolb_poly::EngineCtx::new().enter();
 /// let dfg = Dfg::builder()
 ///     .input("A", "[N] -> { A[i] : 0 <= i < N }")
 ///     .input("C", "[M] -> { C[t] : 0 <= t < M }")
@@ -433,6 +434,7 @@ impl fmt::Display for Dfg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iolb_poly::EngineCtx;
 
     fn example1() -> Dfg {
         Dfg::builder()
@@ -460,6 +462,7 @@ mod tests {
 
     #[test]
     fn build_and_query() {
+        let _session = EngineCtx::new().enter();
         let g = example1();
         assert_eq!(g.nodes().len(), 3);
         assert_eq!(g.statements().count(), 1);
@@ -472,6 +475,7 @@ mod tests {
 
     #[test]
     fn ops_and_input_size() {
+        let _session = EngineCtx::new().enter();
         let g = example1();
         let ctx = iolb_poly::Context::empty()
             .assume_ge("N", 2)
@@ -482,6 +486,7 @@ mod tests {
 
     #[test]
     fn unknown_vertex_is_rejected() {
+        let _session = EngineCtx::new().enter();
         let res = Dfg::builder()
             .statement("S", "{ S[i] : 0 <= i < N }")
             .edge("A", "S", "{ A[i] -> S[i2] : i2 = i }")
@@ -491,6 +496,7 @@ mod tests {
 
     #[test]
     fn duplicate_vertex_is_rejected() {
+        let _session = EngineCtx::new().enter();
         let res = Dfg::builder()
             .statement("S", "{ S[i] : 0 <= i < N }")
             .statement("S", "{ S[i] : 0 <= i < N }")
@@ -500,6 +506,7 @@ mod tests {
 
     #[test]
     fn space_mismatch_is_rejected() {
+        let _session = EngineCtx::new().enter();
         let res = Dfg::builder()
             .statement("S", "{ S[i, j] : 0 <= i < N and 0 <= j < N }")
             .statement("T", "{ T[i] : 0 <= i < N }")
@@ -516,6 +523,7 @@ mod tests {
 
     #[test]
     fn relation_between_unions_parallel_edges() {
+        let _session = EngineCtx::new().enter();
         let g = Dfg::builder()
             .statement("S", "[N] -> { S[i] : 0 <= i < N }")
             .edge("S", "S", "[N] -> { S[i] -> S[i + 1] : 0 <= i < N - 1 }")
@@ -529,6 +537,7 @@ mod tests {
 
     #[test]
     fn restrict_domains_shrinks_statements() {
+        let _session = EngineCtx::new().enter();
         let g = example1();
         // Remove the first half of S's domain (t < 1).
         let slice = iolb_poly::parse_set("[M, N] -> { S[t, i] : t = 0 and 0 <= i < N }").unwrap();

@@ -12,6 +12,7 @@
 //!
 //! ```
 //! use iolb_dfg::{Dfg, genpaths, GenPathsOptions};
+//! # let _session = iolb_poly::EngineCtx::new().enter();
 //!
 //! let dfg = Dfg::builder()
 //!     .input("A", "[N] -> { A[i] : 0 <= i < N }")

@@ -78,15 +78,6 @@ impl DfgPath {
     pub fn preimage(&self, d: &BasicSet) -> BasicSet {
         self.relation.preimage(d)
     }
-
-    /// The set of target-space points reachable through this path
-    /// (`R_{S'→S}(D_{S'})` in Algorithm 3, restricted to the target domain).
-    pub fn image_in_target(&self, source_domain: &BasicSet, target_domain: &BasicSet) -> BasicSet {
-        self.relation
-            .intersect_domain(source_domain)
-            .range()
-            .intersect(target_domain)
-    }
 }
 
 impl fmt::Display for DfgPath {
@@ -169,6 +160,7 @@ pub(crate) fn classify(dfg: &Dfg, edge_indices: &[usize], relation: &BasicMap) -
 mod tests {
     use super::*;
     use crate::graph::Dfg;
+    use iolb_poly::EngineCtx;
 
     fn example1() -> Dfg {
         Dfg::builder()
@@ -196,6 +188,7 @@ mod tests {
 
     #[test]
     fn chain_classification() {
+        let _session = EngineCtx::new().enter();
         let g = example1();
         // Edge 2 is the self-loop S -> S.
         let (rel, subs) = compose_walk(&g, &[2]).unwrap();
@@ -212,6 +205,7 @@ mod tests {
 
     #[test]
     fn broadcast_classification() {
+        let _session = EngineCtx::new().enter();
         let g = example1();
         // Edge 1 is the broadcast C -> S.
         let (rel, _) = compose_walk(&g, &[1]).unwrap();
@@ -225,6 +219,7 @@ mod tests {
 
     #[test]
     fn two_step_composition() {
+        let _session = EngineCtx::new().enter();
         let g = example1();
         // C -> S then S -> S: still a broadcast into slice t+1.
         let (rel, subs) = compose_walk(&g, &[1, 2]).unwrap();
@@ -237,6 +232,7 @@ mod tests {
 
     #[test]
     fn non_injective_tail_is_rejected() {
+        let _session = EngineCtx::new().enter();
         // A -> B broadcast followed by another broadcast edge cannot be a
         // broadcast path (the tail must be injective).
         let g = Dfg::builder()

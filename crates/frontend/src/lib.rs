@@ -15,6 +15,7 @@
 //! ## Example
 //!
 //! ```
+//! # let _session = iolb_poly::EngineCtx::new().enter();
 //! // Matrix multiplication, straight from the C source.
 //! let src = r#"
 //!     parameter Ni, Nj, Nk;

@@ -37,11 +37,6 @@ impl LoweredProgram {
         &self.statement_names
     }
 
-    /// The accesses-plus-schedule form (arrays, domains, accesses).
-    pub fn access_program(&self) -> &AccessProgram {
-        &self.access
-    }
-
     /// Source-level facts for preflight diagnostics: declaration and
     /// statement positions, plus which declared arrays are actually
     /// accessed.

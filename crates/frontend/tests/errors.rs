@@ -3,6 +3,7 @@
 //! deliberately.
 
 use iolb_frontend::compile;
+use iolb_poly::EngineCtx;
 
 fn error_of(src: &str) -> String {
     match compile(src) {
@@ -13,6 +14,7 @@ fn error_of(src: &str) -> String {
 
 #[test]
 fn non_affine_subscript_product() {
+    let _session = EngineCtx::new().enter();
     assert_eq!(
         error_of(
             "parameter N;\n\
@@ -27,6 +29,7 @@ fn non_affine_subscript_product() {
 
 #[test]
 fn non_affine_subscript_division() {
+    let _session = EngineCtx::new().enter();
     assert_eq!(
         error_of(
             "parameter N;\n\
@@ -40,6 +43,7 @@ fn non_affine_subscript_division() {
 
 #[test]
 fn non_affine_loop_bound() {
+    let _session = EngineCtx::new().enter();
     assert_eq!(
         error_of(
             "parameter N;\n\
@@ -53,6 +57,7 @@ fn non_affine_loop_bound() {
 
 #[test]
 fn indirect_subscript() {
+    let _session = EngineCtx::new().enter();
     assert_eq!(
         error_of(
             "parameter N;\n\
@@ -67,6 +72,7 @@ fn indirect_subscript() {
 
 #[test]
 fn undeclared_array() {
+    let _session = EngineCtx::new().enter();
     assert_eq!(
         error_of(
             "parameter N;\n\
@@ -79,6 +85,7 @@ fn undeclared_array() {
 
 #[test]
 fn undeclared_identifier_in_value() {
+    let _session = EngineCtx::new().enter();
     assert_eq!(
         error_of(
             "parameter N;\n\
@@ -104,6 +111,7 @@ fn undeclared_parameter_in_bound() {
 
 #[test]
 fn subscript_arity_mismatch() {
+    let _session = EngineCtx::new().enter();
     assert_eq!(
         error_of(
             "parameter N;\n\
@@ -117,6 +125,7 @@ fn subscript_arity_mismatch() {
 
 #[test]
 fn iterator_shadowing() {
+    let _session = EngineCtx::new().enter();
     assert_eq!(
         error_of(
             "parameter N;\n\
@@ -131,6 +140,7 @@ fn iterator_shadowing() {
 
 #[test]
 fn inner_iterator_used_in_outer_bound() {
+    let _session = EngineCtx::new().enter();
     assert_eq!(
         error_of(
             "parameter N;\n\
@@ -147,6 +157,7 @@ fn inner_iterator_used_in_outer_bound() {
 
 #[test]
 fn iterator_shadowing_an_array() {
+    let _session = EngineCtx::new().enter();
     assert_eq!(
         error_of(
             "parameter N;\n\
@@ -161,6 +172,7 @@ fn iterator_shadowing_an_array() {
 
 #[test]
 fn duplicate_statement_label() {
+    let _session = EngineCtx::new().enter();
     assert_eq!(
         error_of(
             "parameter N;\n\

@@ -36,6 +36,7 @@
 //! ```
 //! use iolb_ir::dataflow::{Access, AccessProgram, SchedStep};
 //! use iolb_poly::{parse_set, LinExpr};
+//! # let _session = iolb_poly::EngineCtx::new().enter();
 //!
 //! let d = 3; // loop depth of the statement
 //! let sub = |i: usize| LinExpr::var(d, i);
@@ -557,6 +558,7 @@ fn precedence_pieces(w: &AccessStatement, t: &AccessStatement) -> Vec<Vec<Constr
 mod tests {
     use super::*;
     use iolb_poly::parse_set;
+    use iolb_poly::EngineCtx;
 
     /// The gemm access program of the module example.
     fn gemm() -> AccessProgram {
@@ -599,6 +601,7 @@ mod tests {
 
     #[test]
     fn gemm_dataflow_matches_hand_written_dfg() {
+        let _session = EngineCtx::new().enter();
         let dfg = gemm().to_dfg().unwrap();
         let names: Vec<&str> = dfg.nodes().iter().map(|n| n.name.as_str()).collect();
         assert_eq!(names, ["A", "B", "Cin", "S"]);
@@ -625,6 +628,7 @@ mod tests {
 
     #[test]
     fn sequenced_statements_kill_across_statements() {
+        let _session = EngineCtx::new().enter();
         // for i { S1: X[i] = …;  S2: X[i] = X[i] + 1; }  then
         // for i { S3: Y[i] = X[i]; }
         // S3 must read from S2 (the later writer), never from S1.
@@ -671,6 +675,7 @@ mod tests {
 
     #[test]
     fn undeclared_array_is_reported() {
+        let _session = EngineCtx::new().enter();
         let program = AccessProgram::new().statement(
             "S",
             parse_set("{ S[i] : 0 <= i < N }").unwrap(),
@@ -687,6 +692,7 @@ mod tests {
 
     #[test]
     fn scalar_reduction_forms_a_chain() {
+        let _session = EngineCtx::new().enter();
         // s += A[i] * B[i]: the scalar cell is rewritten every iteration, so
         // the value flows along the unit chain i → i + 1.
         let sub = |i: usize| LinExpr::var(1, i);

@@ -16,6 +16,7 @@
 //!
 //! ```
 //! use iolb_ir::Program;
+//! # let _session = iolb_poly::EngineCtx::new().enter();
 //!
 //! // The elementary example of Fig. 1: A[i] = A[i] * C[t] in single
 //! // assignment form S[t, i].
@@ -285,9 +286,11 @@ impl iolb_core::Workload for AccessProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iolb_poly::EngineCtx;
 
     #[test]
     fn program_lowers_to_dfg() {
+        let _session = EngineCtx::new().enter();
         let program = Program::new()
             .array("A", "[Ni, Nk] -> { A[i, k] : 0 <= i < Ni and 0 <= k < Nk }")
             .array("B", "[Nk, Nj] -> { B[k, j] : 0 <= k < Nk and 0 <= j < Nj }")
@@ -320,6 +323,7 @@ mod tests {
 
     #[test]
     fn lowered_gemm_analyses_like_the_handwritten_dfg() {
+        let _session = EngineCtx::new().enter();
         let program = Program::new()
             .array("A", "[Ni, Nk] -> { A[i, k] : 0 <= i < Ni and 0 <= k < Nk }")
             .array("B", "[Nk, Nj] -> { B[k, j] : 0 <= k < Nk and 0 <= j < Nj }")
@@ -384,6 +388,7 @@ mod tests {
 
     #[test]
     fn bad_access_relation_is_reported() {
+        let _session = EngineCtx::new().enter();
         let program = Program::new()
             .statement("S", "[N] -> { S[i] : 0 <= i < N }", &["not a relation"])
             .build();
@@ -392,6 +397,7 @@ mod tests {
 
     #[test]
     fn unknown_producer_is_reported() {
+        let _session = EngineCtx::new().enter();
         let program = Program::new()
             .statement(
                 "S",

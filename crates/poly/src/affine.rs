@@ -488,6 +488,7 @@ mod tests {
 
     #[test]
     fn construction_and_eval() {
+        let _session = EngineCtx::new().enter();
         // 2*x0 - x1 + N - 3
         let e = LinExpr::var(2, 0)
             .scale(2)
@@ -502,6 +503,7 @@ mod tests {
 
     #[test]
     fn scaling_and_zero() {
+        let _session = EngineCtx::new().enter();
         let e = LinExpr::var(1, 0).sub(&LinExpr::var(1, 0));
         assert!(e.is_zero());
         let f = LinExpr::param(1, "N").scale(0);
@@ -531,6 +533,7 @@ mod tests {
 
     #[test]
     fn constraint_checks() {
+        let _session = EngineCtx::new().enter();
         let i = LinExpr::var(1, 0);
         let n = LinExpr::param(1, "N");
         // 0 <= i < N as two constraints.
@@ -544,6 +547,7 @@ mod tests {
 
     #[test]
     fn trivial_constraints() {
+        let _session = EngineCtx::new().enter();
         assert!(Constraint::ge0(LinExpr::constant(0, 3)).is_trivially_true());
         assert!(Constraint::ge0(LinExpr::constant(0, -1)).is_trivially_false());
         assert!(Constraint::eq(LinExpr::constant(0, 0)).is_trivially_true());
@@ -553,6 +557,7 @@ mod tests {
 
     #[test]
     fn display() {
+        let _session = EngineCtx::new().enter();
         let e = LinExpr::var(2, 0)
             .sub(&LinExpr::var(2, 1).scale(2))
             .add(&LinExpr::param(2, "N"))

@@ -50,6 +50,7 @@ impl AffineFunction {
 ///
 /// ```
 /// use iolb_poly::{BasicMap, Space};
+/// # let _session = iolb_poly::EngineCtx::new().enter();
 /// // { S[t, i] -> S[t + 1, i] : 0 <= t < M - 1 and 0 <= i < N }
 /// let m = BasicMap::translation(Space::new("S", &["t", "i"]), &[1, 0])
 ///     .constrain_in_ge_const(0, 0)
@@ -688,6 +689,7 @@ impl fmt::Display for BasicMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EngineCtx;
 
     /// { S[t, i] -> S[t + 1, i] : 0 <= t < M - 1 and 0 <= i < N }
     fn chain() -> BasicMap {
@@ -727,6 +729,7 @@ mod tests {
 
     #[test]
     fn membership_and_domain_range() {
+        let _session = EngineCtx::new().enter();
         let m = chain();
         assert!(m.contains(&[2, 3], &[3, 3], &[("M", 6), ("N", 7)]));
         assert!(!m.contains(&[2, 3], &[4, 3], &[("M", 6), ("N", 7)]));
@@ -740,12 +743,14 @@ mod tests {
 
     #[test]
     fn translation_detection() {
+        let _session = EngineCtx::new().enter();
         assert_eq!(chain().translation_offsets(), Some(vec![1, 0]));
         assert_eq!(broadcast().translation_offsets(), None);
     }
 
     #[test]
     fn inverse_roundtrip() {
+        let _session = EngineCtx::new().enter();
         let m = chain();
         let inv = m.inverse();
         assert!(inv.contains(&[3, 3], &[2, 3], &[("M", 6), ("N", 7)]));
@@ -754,6 +759,7 @@ mod tests {
 
     #[test]
     fn apply_and_preimage() {
+        let _session = EngineCtx::new().enter();
         let m = chain();
         // Image of the slice {S[0, i]} is {S[1, i]}.
         let slice = BasicSet::universe(Space::new("S", &["t", "i"]))
@@ -769,6 +775,7 @@ mod tests {
 
     #[test]
     fn composition() {
+        let _session = EngineCtx::new().enter();
         let m = chain();
         let two_steps = m.then(&m);
         assert_eq!(two_steps.translation_offsets(), Some(vec![2, 0]));
@@ -780,6 +787,7 @@ mod tests {
 
     #[test]
     fn broadcast_function_extraction() {
+        let _session = EngineCtx::new().enter();
         let b = broadcast();
         // Inverse function: S[t, i] -> C[t]; linear part (1, 0), kernel (0, 1).
         let f = b
@@ -796,6 +804,7 @@ mod tests {
 
     #[test]
     fn chain_inverse_function_is_full_rank() {
+        let _session = EngineCtx::new().enter();
         let m = chain();
         let f = m.as_function_of_range().expect("translation is invertible");
         assert!(f.is_full_rank());
@@ -805,6 +814,7 @@ mod tests {
 
     #[test]
     fn intersect_domain_and_range() {
+        let _session = EngineCtx::new().enter();
         let m = chain();
         let slice = BasicSet::universe(Space::new("S", &["t", "i"])).fix_dim(0, 2);
         let restricted = m.intersect_domain(&slice);
@@ -817,6 +827,7 @@ mod tests {
 
     #[test]
     fn reachability_closure_of_chain() {
+        let _session = EngineCtx::new().enter();
         let m = chain();
         let star = m.reachability_closure().expect("chain closure exists");
         let params = [("M", 6i128), ("N", 7i128)];
@@ -832,6 +843,7 @@ mod tests {
 
     #[test]
     fn emptiness() {
+        let _session = EngineCtx::new().enter();
         let m = chain().constrain_in_ge_const(0, 100).constrain(
             // also t <= 1 contradicts t >= 100
             Constraint::ge0(LinExpr::constant(4, 1).sub(&LinExpr::var(4, 0))),

@@ -15,6 +15,7 @@ use std::fmt;
 ///
 /// ```
 /// use iolb_poly::{BasicSet, Space};
+/// # let _session = iolb_poly::EngineCtx::new().enter();
 /// // { S[i, j] : 0 <= i < N and 0 <= j <= i }
 /// let s = BasicSet::universe(Space::new("S", &["i", "j"]))
 ///     .ge0_var(0)
@@ -362,6 +363,7 @@ impl fmt::Display for BasicSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EngineCtx;
 
     fn triangle() -> BasicSet {
         // { S[i, j] : 0 <= i < N, 0 <= j <= i }
@@ -374,6 +376,7 @@ mod tests {
 
     #[test]
     fn membership() {
+        let _session = EngineCtx::new().enter();
         let t = triangle();
         assert!(t.contains(&[4, 4], &[("N", 5)]));
         assert!(!t.contains(&[4, 5], &[("N", 5)]));
@@ -382,6 +385,7 @@ mod tests {
 
     #[test]
     fn emptiness() {
+        let _session = EngineCtx::new().enter();
         let t = triangle();
         assert!(!t.is_empty());
         let empty = t.clone().constrain(Constraint::ge0(
@@ -394,6 +398,7 @@ mod tests {
 
     #[test]
     fn intersection() {
+        let _session = EngineCtx::new().enter();
         let t = triangle();
         let diag = BasicSet::universe(Space::new("S", &["i", "j"]))
             .constrain(Constraint::eq(LinExpr::var(2, 0).sub(&LinExpr::var(2, 1))));
@@ -404,6 +409,7 @@ mod tests {
 
     #[test]
     fn subtraction_splits() {
+        let _session = EngineCtx::new().enter();
         // Remove the diagonal band j >= i from the triangle: leaves j < i.
         let t = triangle();
         let upper = BasicSet::universe(Space::new("S", &["i", "j"]))
@@ -416,6 +422,7 @@ mod tests {
 
     #[test]
     fn subtracting_universe_gives_empty() {
+        let _session = EngineCtx::new().enter();
         let t = triangle();
         let u = BasicSet::universe(Space::new("S", &["i", "j"]));
         assert!(t.subtract(&u).is_empty());
@@ -423,6 +430,7 @@ mod tests {
 
     #[test]
     fn subset_checks() {
+        let _session = EngineCtx::new().enter();
         let t = triangle();
         let smaller = triangle().ge_const(0, 1);
         assert!(smaller.is_subset(&t));
@@ -431,6 +439,7 @@ mod tests {
 
     #[test]
     fn projection() {
+        let _session = EngineCtx::new().enter();
         let t = triangle();
         let p = t.project_out(1);
         assert_eq!(p.dim(), 1);
@@ -441,6 +450,7 @@ mod tests {
 
     #[test]
     fn fixing_dimensions() {
+        let _session = EngineCtx::new().enter();
         let t = triangle().fix_dim_to_param(0, "Omega");
         assert!(t.contains(&[3, 1], &[("N", 5), ("Omega", 3)]));
         assert!(!t.contains(&[2, 1], &[("N", 5), ("Omega", 3)]));
@@ -451,6 +461,7 @@ mod tests {
 
     #[test]
     fn intrinsic_dimension() {
+        let _session = EngineCtx::new().enter();
         let t = triangle();
         assert_eq!(t.intrinsic_dim(), 2);
         let line = t.clone().fix_dim(0, 3);
@@ -461,6 +472,7 @@ mod tests {
 
     #[test]
     fn enumeration_matches_cardinality() {
+        let _session = EngineCtx::new().enter();
         let t = triangle();
         let pts = t.enumerate(&[("N", 4)], 10);
         assert_eq!(pts.len(), 10); // 1 + 2 + 3 + 4
@@ -468,6 +480,7 @@ mod tests {
 
     #[test]
     fn display_is_readable() {
+        let _session = EngineCtx::new().enter();
         let t = triangle();
         let s = t.to_string();
         assert!(s.contains("S[i, j]"));

@@ -285,7 +285,8 @@ pub fn card_in(engine: &EngineCtx, set: &Set, ctx: &Context) -> Option<Poly> {
     debug_assert_eq!(
         EngineCtx::with_current(|current| current.id()),
         engine.id(),
-        "card_in requires the explicit engine to be the ambient session          (enter it with EngineCtx::scope)"
+        "card_in requires the explicit engine to be the ambient session: \
+         enter it with `EngineCtx::scope` or `EngineCtx::enter`"
     );
     let disjoint = set.make_disjoint();
     let mut total = Poly::zero();
@@ -320,6 +321,7 @@ mod tests {
 
     #[test]
     fn rectangle() {
+        let _session = EngineCtx::new().enter();
         // { S[t, i] : 0 <= t < M, 0 <= i < N } has M·N points.
         let s = BasicSet::universe(Space::new("S", &["t", "i"]))
             .ge0_var(0)
@@ -334,6 +336,7 @@ mod tests {
 
     #[test]
     fn triangle() {
+        let _session = EngineCtx::new().enter();
         // { S[i, j] : 0 <= i < N, 0 <= j <= i } has N(N+1)/2 points.
         let s = BasicSet::universe(Space::new("S", &["i", "j"]))
             .ge0_var(0)
@@ -347,6 +350,7 @@ mod tests {
 
     #[test]
     fn cholesky_update_domain() {
+        let _session = EngineCtx::new().enter();
         // { S3[k, i, j] : 0 <= k < N, k+1 <= i < N, k+1 <= j <= i }
         // has N(N-1)(N+1)/6 points (sum over k of T(N-1-k)).
         let space = Space::new("S3", &["k", "i", "j"]);
@@ -374,6 +378,7 @@ mod tests {
 
     #[test]
     fn equality_constrained_slice() {
+        let _session = EngineCtx::new().enter();
         // { S[t, i] : t = Omega, 0 <= i < N } has N points.
         let s = BasicSet::universe(Space::new("S", &["t", "i"]))
             .fix_dim_to_param(0, "Omega")
@@ -385,6 +390,7 @@ mod tests {
 
     #[test]
     fn empty_set_counts_zero() {
+        let _session = EngineCtx::new().enter();
         let s = BasicSet::universe(Space::new("S", &["i"]))
             .ge_const(0, 5)
             .constrain(Constraint::ge0(
@@ -395,6 +401,7 @@ mod tests {
 
     #[test]
     fn multiple_lower_bounds_resolved_by_context() {
+        let _session = EngineCtx::new().enter();
         // { S[i, j] : 0 <= i < N, 0 <= j < N, j >= i } — for j the bounds
         // are j >= 0 and j >= i; with i >= 0 the dominant one is j >= i.
         let n = 2;
@@ -410,6 +417,7 @@ mod tests {
 
     #[test]
     fn union_cardinality_deduplicates_overlap() {
+        let _session = EngineCtx::new().enter();
         // [0, N) ∪ [2, N+3): for N = 5 -> {0..4} ∪ {2..7} = 8 points.
         let a = BasicSet::universe(Space::new("S", &["i"]))
             .ge0_var(0)
@@ -429,7 +437,17 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "enter it with `EngineCtx::scope` or `EngineCtx::enter`")]
+    fn card_in_requires_its_engine_to_be_ambient() {
+        let _session = EngineCtx::new().enter();
+        let set = BasicSet::universe(Space::new("S", &["i"])).ge0_var(0).to_set();
+        let _ = card_in(&EngineCtx::new(), &set, &ctx());
+    }
+
+    #[test]
     fn jacobi_style_trapezoid() {
+        let _session = EngineCtx::new().enter();
         // { S[t, i] : 0 <= t < T, t+1 <= i < N - t } — counts Σ_t (N - 2t - 1).
         let n = 2;
         let s = BasicSet::universe(Space::new("S", &["t", "i"]))

@@ -1,15 +1,11 @@
 //! The engine session: explicitly scoped polyhedral-engine state.
 //!
-//! Historically the engine kept its state in process-wide globals (a string
-//! interner, a query cache, operation counters). That is hostile to a
-//! long-running, multi-tenant service: caches grow without bound across
-//! unrelated requests, per-analysis statistics bleed between concurrent
-//! users, and tests cannot isolate engine state. [`EngineCtx`] packages the
-//! three pieces of state — the parameter [`interner`](crate::interner) table,
-//! the sharded query [`cache`](crate::cache) and the operation
-//! [`stats`](crate::stats) counters, each with configurable capacity — into
-//! one session object. Two sessions share **nothing**: dropping a session
-//! frees its cache, and its counters reflect exactly the work done inside it.
+//! [`EngineCtx`] packages all engine state — the parameter
+//! [`interner`](crate::interner) table, the sharded query
+//! [`cache`](crate::cache) and the operation [`stats`](crate::stats)
+//! counters, each with configurable capacity — into one session object. Two
+//! sessions share **nothing**: dropping a session frees its cache, and its
+//! counters reflect exactly the work done inside it.
 //!
 //! ## Using a session
 //!
@@ -42,13 +38,10 @@
 //! *inside* the session it analyses in. Resolving a foreign id panics with a
 //! "different engine session" message rather than silently aliasing names.
 //!
-//! ## The global fallback session
+//! ## No fallback
 //!
-//! Ambient lookups outside any scope — `LinExpr::param`, the
-//! `BasicSet`/`BasicMap` operations, `scan::instantiate` and their callers
-//! in `iolb-preflight` and `iolb-core` — fall back to one process-wide
-//! **global session** (see [`EngineCtx::global`]), the only remaining
-//! `OnceLock` in this crate.
+//! There is no process-wide session: an ambient lookup on a thread that has
+//! not entered one panics with a message naming [`EngineCtx::scope`].
 
 use crate::budget::{Budget, BudgetState};
 use crate::cache::QueryCache;
@@ -189,27 +182,25 @@ impl EngineCtx {
         f()
     }
 
-    /// The calling thread's ambient session: the innermost entered scope,
-    /// or the process-wide [global](EngineCtx::global) fallback session.
+    /// The calling thread's ambient session: the innermost entered scope.
+    /// Panics outside every scope.
     pub fn current() -> Arc<EngineCtx> {
-        CURRENT
-            .with(|c| c.borrow().last().cloned())
-            .unwrap_or_else(|| EngineCtx::global().clone())
+        EngineCtx::try_current().unwrap_or_else(|| no_session())
+    }
+
+    /// The calling thread's ambient session, or `None` outside every scope.
+    pub fn try_current() -> Option<Arc<EngineCtx>> {
+        CURRENT.with(|c| c.borrow().last().cloned())
     }
 
     /// Runs `f` against the ambient session without cloning the `Arc` (the
     /// hot-path accessor behind the object layer).
     ///
     /// `f` runs under a read borrow of the thread's scope stack, so it must
-    /// not call [`EngineCtx::enter`] (engine operations never do).
+    /// not call [`EngineCtx::enter`] (engine operations never do). Panics
+    /// outside every scope.
     pub fn with_current<R>(f: impl FnOnce(&EngineCtx) -> R) -> R {
-        CURRENT.with(|c| {
-            let stack = c.borrow();
-            match stack.last() {
-                Some(engine) => f(engine),
-                None => f(EngineCtx::global()),
-            }
-        })
+        CURRENT.with(|c| f(c.borrow().last().unwrap_or_else(|| no_session())))
     }
 
     // --- interner facade ----------------------------------------------
@@ -413,15 +404,15 @@ impl EngineCtx {
         // realistic workload's parameter names, long before `intern` panics.
         self.interner.len() * 4 < self.config.interner_capacity * 3
     }
+}
 
-    /// The process-wide fallback session used by threads that have not
-    /// entered a scope: ambient lookups (`LinExpr::param`, the set and map
-    /// operations) resolve here when no scope is active. New code should
-    /// create its own session.
-    pub fn global() -> &'static Arc<EngineCtx> {
-        static GLOBAL: std::sync::OnceLock<Arc<EngineCtx>> = std::sync::OnceLock::new();
-        GLOBAL.get_or_init(EngineCtx::new)
-    }
+/// The panic behind every ambient lookup outside a scope.
+#[cold]
+fn no_session() -> ! {
+    panic!(
+        "no engine session is entered on this thread: \
+         open one with `EngineCtx::scope` or `EngineCtx::enter`"
+    )
 }
 
 /// Guard returned by [`EngineCtx::enter`]; pops the session on drop.
@@ -476,8 +467,13 @@ mod tests {
             });
             assert_eq!(EngineCtx::current().id(), outer.id());
         });
-        // Outside any scope the global fallback is ambient.
-        assert_eq!(EngineCtx::current().id(), EngineCtx::global().id());
+        assert!(EngineCtx::try_current().is_none(), "every scope popped");
+    }
+
+    #[test]
+    #[should_panic(expected = "open one with `EngineCtx::scope` or `EngineCtx::enter`")]
+    fn ambient_ops_outside_a_scope_panic() {
+        let _ = crate::parse_set("[N] -> { S[i] : 0 <= i < N }");
     }
 
     #[test]

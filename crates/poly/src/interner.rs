@@ -62,9 +62,9 @@ impl ParamId {
 
 impl std::fmt::Debug for ParamId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Resilient: a foreign id renders its raw coordinates instead of
-        // panicking mid-debug-dump.
-        match crate::engine::EngineCtx::with_current(|e| e.try_resolve(*self)) {
+        // Resilient: a foreign id, or one formatted outside every session,
+        // renders its raw coordinates instead of panicking mid-debug-dump.
+        match crate::engine::EngineCtx::try_current().and_then(|e| e.try_resolve(*self)) {
             Some(name) => write!(f, "ParamId({} = {:?})", self.index(), &*name),
             None => write!(f, "ParamId(s{}:{})", self.session(), self.index()),
         }
@@ -230,8 +230,11 @@ mod tests {
     fn foreign_debug_renders_without_panicking() {
         let e = EngineCtx::new();
         let id = e.intern("N");
-        // Ambient session (global) cannot resolve `id`.
+        let raw = format!("s{}", e.id());
+        // Outside every session, and in a session that did not mint `id`.
         let rendered = format!("{id:?}");
-        assert!(rendered.contains(&format!("s{}", e.id())), "{rendered}");
+        assert!(rendered.contains(&raw), "{rendered}");
+        let rendered = EngineCtx::new().scope(|| format!("{id:?}"));
+        assert!(rendered.contains(&raw), "{rendered}");
     }
 }

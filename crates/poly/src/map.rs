@@ -276,6 +276,7 @@ mod tests {
     use super::*;
     use crate::affine::{Constraint, LinExpr};
     use crate::basic_set::BasicSet;
+    use crate::EngineCtx;
 
     fn space2() -> Space {
         Space::new("S", &["t", "i"])
@@ -299,6 +300,7 @@ mod tests {
 
     #[test]
     fn union_and_membership() {
+        let _session = EngineCtx::new().enter();
         let m = Map::from_basic(chain()).union(&Map::from_basic(diag()));
         let params = [("M", 5i128), ("N", 5i128)];
         assert!(m.contains(&[1, 1], &[2, 1], &params));
@@ -309,6 +311,7 @@ mod tests {
 
     #[test]
     fn domain_range_of_union() {
+        let _session = EngineCtx::new().enter();
         let m = Map::from_basic(chain()).union(&Map::from_basic(diag()));
         let d = m.domain();
         assert!(d.contains(&[0, 0], &[("M", 5), ("N", 5)]));
@@ -319,6 +322,7 @@ mod tests {
 
     #[test]
     fn apply_union() {
+        let _session = EngineCtx::new().enter();
         let m = Map::from_basic(chain()).union(&Map::from_basic(diag()));
         let slice = BasicSet::universe(space2())
             .fix_dim(0, 0)
@@ -334,6 +338,7 @@ mod tests {
 
     #[test]
     fn composition_of_unions() {
+        let _session = EngineCtx::new().enter();
         let m = Map::from_basic(chain());
         let mm = m.then(&m);
         assert!(mm.contains(&[0, 1], &[2, 1], &[("M", 5), ("N", 5)]));
@@ -342,6 +347,7 @@ mod tests {
 
     #[test]
     fn closure_underapprox_contains_long_hops() {
+        let _session = EngineCtx::new().enter();
         let m = Map::from_basic(chain());
         let star = m.reachability_closure_underapprox();
         let params = [("M", 8i128), ("N", 3i128)];
@@ -352,6 +358,7 @@ mod tests {
 
     #[test]
     fn injectivity_of_union() {
+        let _session = EngineCtx::new().enter();
         let m = Map::from_basic(chain()).union(&Map::from_basic(diag()));
         assert!(m.is_injective());
         // A broadcast relation is not injective.
@@ -369,6 +376,7 @@ mod tests {
 
     #[test]
     fn empty_map() {
+        let _session = EngineCtx::new().enter();
         let e = Map::empty(space2(), space2());
         assert!(e.is_empty());
         assert!(e.domain().is_empty());

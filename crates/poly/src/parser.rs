@@ -362,6 +362,7 @@ impl Parser {
 ///
 /// ```
 /// use iolb_poly::parse_set;
+/// # let _session = iolb_poly::EngineCtx::new().enter();
 /// let s = parse_set("[N] -> { S[i, j] : 0 <= i < N and 0 <= j <= i }").unwrap();
 /// assert!(s.contains(&[3, 2], &[("N", 5)]));
 /// assert!(!s.contains(&[3, 4], &[("N", 5)]));
@@ -409,6 +410,7 @@ pub fn parse_set(input: &str) -> Result<BasicSet, ParseError> {
 ///
 /// ```
 /// use iolb_poly::parse_map;
+/// # let _session = iolb_poly::EngineCtx::new().enter();
 /// let m = parse_map("[M, N] -> { C[t] -> S[t, i] : 0 <= t < M and 0 <= i < N }").unwrap();
 /// assert!(m.contains(&[2], &[2, 5], &[("M", 4), ("N", 7)]));
 /// ```
@@ -487,9 +489,11 @@ pub fn parse_map(input: &str) -> Result<BasicMap, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EngineCtx;
 
     #[test]
     fn parse_rectangle_set() {
+        let _session = EngineCtx::new().enter();
         let s = parse_set("[M, N] -> { S[t, i] : 0 <= t < M and 0 <= i < N }").unwrap();
         assert_eq!(s.dim(), 2);
         assert!(s.contains(&[0, 6], &[("M", 3), ("N", 7)]));
@@ -498,6 +502,7 @@ mod tests {
 
     #[test]
     fn parse_chained_comparisons() {
+        let _session = EngineCtx::new().enter();
         let s = parse_set("{ S[i, j] : 0 <= j <= i < N }").unwrap();
         assert!(s.contains(&[4, 4], &[("N", 5)]));
         assert!(!s.contains(&[4, 5], &[("N", 5)]));
@@ -506,6 +511,7 @@ mod tests {
 
     #[test]
     fn parse_translation_map() {
+        let _session = EngineCtx::new().enter();
         let m = parse_map("[M, N] -> { S[t, i] -> S[t + 1, i] : 0 <= t < M - 1 and 0 <= i < N }")
             .unwrap();
         assert_eq!(m.translation_offsets(), Some(vec![1, 0]));
@@ -514,6 +520,7 @@ mod tests {
 
     #[test]
     fn parse_broadcast_map_with_fresh_output_dim() {
+        let _session = EngineCtx::new().enter();
         let m = parse_map("[M, N] -> { C[t] -> S[t, i] : 0 <= t < M and 0 <= i < N }").unwrap();
         assert_eq!(m.n_in(), 1);
         assert_eq!(m.n_out(), 2);
@@ -525,6 +532,7 @@ mod tests {
 
     #[test]
     fn parse_map_with_affine_output_of_params() {
+        let _session = EngineCtx::new().enter();
         // Cholesky-style: S3[k - 1, i, k] -> S2[k, i].
         let m = parse_map(
             "[N] -> { S3[k, i, j] -> S2[k + 1, i] : j = k + 1 and 1 <= k + 1 < N and k + 2 <= i < N }",
@@ -536,6 +544,7 @@ mod tests {
 
     #[test]
     fn parse_with_multiplication() {
+        let _session = EngineCtx::new().enter();
         let s = parse_set("[N] -> { S[i] : 0 <= 2*i and 2 * i < N }").unwrap();
         assert!(s.contains(&[2], &[("N", 6)]));
         assert!(!s.contains(&[3], &[("N", 6)]));
@@ -552,6 +561,7 @@ mod tests {
 
     #[test]
     fn parse_errors_are_reported() {
+        let _session = EngineCtx::new().enter();
         assert!(parse_set("{ S[i : }").is_err());
         assert!(parse_set("S[i]").is_err());
         assert!(parse_map("{ S[i] - T[j] }").is_err());
@@ -561,6 +571,7 @@ mod tests {
 
     #[test]
     fn unknown_identifiers_become_parameters() {
+        let _session = EngineCtx::new().enter();
         let s = parse_set("{ S[i] : 0 <= i < N + M }").unwrap();
         assert!(s.contains(&[8], &[("N", 5), ("M", 4)]));
         assert!(!s.contains(&[9], &[("N", 5), ("M", 4)]));
@@ -568,6 +579,7 @@ mod tests {
 
     #[test]
     fn equality_in_condition() {
+        let _session = EngineCtx::new().enter();
         let m = parse_map("{ A[i] -> S[t, i2] : i2 = i and t = 0 and 0 <= i < N }").unwrap();
         assert!(m.contains(&[3], &[0, 3], &[("N", 5)]));
         assert!(!m.contains(&[3], &[1, 3], &[("N", 5)]));

@@ -556,6 +556,7 @@ mod tests {
 
     #[test]
     fn exact_bounds_follow_parameter_coefficients() {
+        let _session = EngineCtx::new().enter();
         let r = rows("[N] -> { S[i] : 0 <= i < 2*N }", &[("N", 16)]);
         let points = ScanPlan::new(r, 1).unwrap().points(&[]);
         assert_eq!(points.len(), 32);
@@ -564,6 +565,7 @@ mod tests {
 
     #[test]
     fn triangle_scans_lexicographically() {
+        let _session = EngineCtx::new().enter();
         let r = rows(
             "[N] -> { S[i, j] : 0 <= i < N and 0 <= j <= i }",
             &[("N", 3)],
@@ -583,6 +585,7 @@ mod tests {
 
     #[test]
     fn unbounded_dimensions_are_errors_unless_the_set_is_empty() {
+        let _session = EngineCtx::new().enter();
         let open = rows("{ S[i, j] : i >= 0 and 0 <= j < 4 }", &[]);
         assert_eq!(
             ScanPlan::new(open.clone(), 2).unwrap_err(),
@@ -599,6 +602,7 @@ mod tests {
 
     #[test]
     fn integer_infeasible_equalities_are_empty() {
+        let _session = EngineCtx::new().enter();
         let r = rows("{ S[i] : 2*i = 3 and 0 <= i <= 10 }", &[]);
         assert!(ScanPlan::new(r, 1).unwrap().empty);
         let odd = rows("{ S[i, j] : i = 2*j + 1 and 0 <= i < 7 }", &[]);
@@ -608,6 +612,7 @@ mod tests {
 
     #[test]
     fn fixed_suffix_binds_trailing_dimensions() {
+        let _session = EngineCtx::new().enter();
         // Producers p with c - 2 <= p <= c for a fixed consumer c, p >= 0.
         let r = rows("{ S[p, c] : p >= 0 and c - 2 <= p <= c }", &[]);
         let plan = ScanPlan::new(r, 1).unwrap();
@@ -618,6 +623,7 @@ mod tests {
 
     #[test]
     fn missing_parameters_are_reported_by_name() {
+        let _session = EngineCtx::new().enter();
         let set = parse_set("[N] -> { S[i] : 0 <= i < N }").unwrap();
         assert_eq!(
             instantiate(set.constraints(), &[]),
@@ -627,6 +633,7 @@ mod tests {
 
     #[test]
     fn scans_stop_when_the_visitor_says_so() {
+        let _session = EngineCtx::new().enter();
         let r = rows("{ S[i] : 0 <= i < 100 }", &[]);
         let plan = ScanPlan::new(r, 1).unwrap();
         let mut seen = 0;

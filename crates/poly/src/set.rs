@@ -12,6 +12,7 @@ use std::fmt;
 ///
 /// ```
 /// use iolb_poly::{BasicSet, Space};
+/// # let _session = iolb_poly::EngineCtx::new().enter();
 /// let space = Space::new("S", &["i"]);
 /// let a = BasicSet::universe(space.clone()).ge_const(0, 0).lt_param(0, "N");
 /// let b = BasicSet::universe(space.clone()).ge_const(0, 5);
@@ -339,6 +340,7 @@ impl fmt::Display for UnionSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EngineCtx;
 
     fn interval(name: &str, lo: i128, param: &str) -> BasicSet {
         BasicSet::universe(Space::new(name, &["i"]))
@@ -348,6 +350,7 @@ mod tests {
 
     #[test]
     fn union_and_membership() {
+        let _session = EngineCtx::new().enter();
         let a = interval("S", 0, "N").to_set();
         let b = interval("S", 10, "M").to_set();
         let u = a.union(&b);
@@ -358,6 +361,7 @@ mod tests {
 
     #[test]
     fn intersect_and_subtract() {
+        let _session = EngineCtx::new().enter();
         let a = interval("S", 0, "N").to_set();
         let b = interval("S", 2, "N").to_set();
         let i = a.intersect(&b);
@@ -370,6 +374,7 @@ mod tests {
 
     #[test]
     fn subset_and_disjoint() {
+        let _session = EngineCtx::new().enter();
         let a = interval("S", 0, "N").to_set();
         let b = interval("S", 2, "N").to_set();
         assert!(b.is_subset(&a));
@@ -383,6 +388,7 @@ mod tests {
 
     #[test]
     fn empty_set_behaviour() {
+        let _session = EngineCtx::new().enter();
         let space = Space::new("S", &["i"]);
         let e = Set::empty(space.clone());
         assert!(e.is_empty());
@@ -393,6 +399,7 @@ mod tests {
 
     #[test]
     fn union_set_across_spaces() {
+        let _session = EngineCtx::new().enter();
         let mut u = UnionSet::empty();
         u.add_set(interval("S1", 0, "N").to_set());
         u.add_set(interval("S2", 0, "M").to_set());
@@ -411,6 +418,7 @@ mod tests {
 
     #[test]
     fn union_set_subtract() {
+        let _session = EngineCtx::new().enter();
         let mut u = UnionSet::empty();
         u.add_set(interval("S1", 0, "N").to_set());
         let mut v = UnionSet::empty();
@@ -423,6 +431,7 @@ mod tests {
 
     #[test]
     fn intersects_checks_params_existentially() {
+        let _session = EngineCtx::new().enter();
         // [0, N) and [10, M): these overlap for some N, M (e.g. N = 20), so
         // the conservative answer must be "they intersect".
         let a = interval("S", 0, "N").to_set();

@@ -3,7 +3,7 @@
 //! `BTreeMap<String, i128>` model) under every arithmetic operation, and
 //! constraint systems must survive a render → parse round-trip.
 
-use iolb_poly::{parse_set, BasicSet, Constraint, LinExpr, Space};
+use iolb_poly::{parse_set, BasicSet, Constraint, EngineCtx, LinExpr, Space};
 use std::collections::BTreeMap;
 
 /// Deterministic xorshift generator (no external crates in this container).
@@ -132,6 +132,7 @@ fn random_pair(rng: &mut Rng, nvars: usize) -> (LinExpr, Model) {
 
 #[test]
 fn interned_ops_agree_with_string_model() {
+    let _session = EngineCtx::new().enter();
     let mut rng = Rng(0x0010_D01B);
     for round in 0..200 {
         let nvars = rng.range(0, 4) as usize;
@@ -161,6 +162,7 @@ fn interned_ops_agree_with_string_model() {
 
 #[test]
 fn parser_round_trip_preserves_membership() {
+    let _session = EngineCtx::new().enter();
     let mut rng = Rng(0xB0_07);
     for _ in 0..60 {
         let nvars = rng.range(1, 3) as usize;
@@ -206,6 +208,7 @@ fn parser_round_trip_preserves_membership() {
 
 #[test]
 fn parser_and_builders_produce_identical_constraints() {
+    let _session = EngineCtx::new().enter();
     // The same set written in ISL notation and built programmatically must
     // have identical interned representations.
     let parsed = parse_set("[N] -> { S[i, j] : 0 <= i < N and 0 <= j <= i }").unwrap();

@@ -85,7 +85,7 @@ fn scanner_matches_the_box_scan_on_every_corpus_domain() {
     for name in iolb_polybench::kernel_names() {
         EngineCtx::new().scope(|| {
             let kernel = iolb_polybench::kernel_by_name(name).unwrap();
-            for node in kernel.dfg.nodes() {
+            for node in kernel.dfg().nodes() {
                 points += check_domain(&format!("{name}/{}", node.name), &node.domain);
                 domains += 1;
             }

@@ -6,34 +6,29 @@
 //! running example of Fig. 4 lifted to three dimensions; nussinov is the
 //! second category-4 kernel; deriche is a constant-OI image filter.
 
-use crate::meta::{poly_prod, Category, Kernel};
+use crate::meta::{p, poly_prod, Category, Kernel};
 use iolb_dfg::Dfg;
 use iolb_math::rat;
-use iolb_symbol::Poly;
 
-fn p(name: &str) -> Poly {
-    Poly::param(name)
-}
-
-fn covariance_like(name: &'static str, extra_oi: f64) -> Kernel {
-    let _ = extra_oi;
-    let dfg = Dfg::builder()
-        .input("Data", "[M, N] -> { Data[k, j] : 0 <= k < N and 0 <= j < M }")
-        .statement_with_ops(
-            "Cov",
-            "[M, N] -> { Cov[i, j, k] : 0 <= i < M and 0 <= j <= i and 0 <= k < N }",
-            2,
-        )
-        .edge("Data", "Cov", "[M, N] -> { Data[k, i] -> Cov[i2, j, k2] : i2 = i and k2 = k and 0 <= i < M and 0 <= j <= i and 0 <= k < N }")
-        .edge("Data", "Cov", "[M, N] -> { Data[k, j] -> Cov[i, j2, k2] : j2 = j and k2 = k and 0 <= j <= i and i < M and 0 <= k < N }")
-        .edge("Cov", "Cov", "[M, N] -> { Cov[i, j, k] -> Cov[i2, j2, k + 1] : i2 = i and j2 = j and 0 <= i < M and 0 <= j <= i and 0 <= k < N - 1 }")
-        .build()
-        .unwrap();
+fn covariance_like(name: &'static str) -> Kernel {
     Kernel {
         name,
         category: Category::Tileable,
         params: &["M", "N"],
-        dfg,
+        dfg: || {
+            Dfg::builder()
+                .input("Data", "[M, N] -> { Data[k, j] : 0 <= k < N and 0 <= j < M }")
+                .statement_with_ops(
+                    "Cov",
+                    "[M, N] -> { Cov[i, j, k] : 0 <= i < M and 0 <= j <= i and 0 <= k < N }",
+                    2,
+                )
+                .edge("Data", "Cov", "[M, N] -> { Data[k, i] -> Cov[i2, j, k2] : i2 = i and k2 = k and 0 <= i < M and 0 <= j <= i and 0 <= k < N }")
+                .edge("Data", "Cov", "[M, N] -> { Data[k, j] -> Cov[i, j2, k2] : j2 = j and k2 = k and 0 <= j <= i and i < M and 0 <= k < N }")
+                .edge("Cov", "Cov", "[M, N] -> { Cov[i, j, k] -> Cov[i2, j2, k + 1] : i2 = i and j2 = j and 0 <= i < M and 0 <= j <= i and 0 <= k < N - 1 }")
+                .build()
+                .unwrap()
+        },
         input_data: poly_prod(&["M", "N"]),
         ops: p("M") * p("M") * p("N"),
         oi_manual_desc: "sqrt(S)",
@@ -47,12 +42,12 @@ fn covariance_like(name: &'static str, extra_oi: f64) -> Kernel {
 
 /// Pearson correlation matrix (dominated by the rank-update).
 pub fn correlation() -> Kernel {
-    covariance_like("correlation", 0.0)
+    covariance_like("correlation")
 }
 
 /// Covariance matrix (dominated by the rank-update).
 pub fn covariance() -> Kernel {
-    covariance_like("covariance", 0.0)
+    covariance_like("covariance")
 }
 
 /// All-pairs shortest paths. The dependence structure is the 3-D version of
@@ -60,26 +55,27 @@ pub fn covariance() -> Kernel {
 /// either at step k (i or j beyond the pivot) or step k−1; the analysis
 /// decomposes the iteration space accordingly.
 pub fn floyd_warshall() -> Kernel {
-    let dfg = Dfg::builder()
-        .input("W", "[N] -> { W[i, j] : 0 <= i < N and 0 <= j < N }")
-        .statement_with_ops(
-            "P",
-            "[N] -> { P[k, i, j] : 0 <= k < N and 0 <= i < N and 0 <= j < N }",
-            2,
-        )
-        .edge("W", "P", "[N] -> { W[i, j] -> P[k, i2, j2] : k = 0 and i2 = i and j2 = j and 0 <= i < N and 0 <= j < N }")
-        .edge("P", "P", "[N] -> { P[k, i, j] -> P[k + 1, i, j] : 0 <= k < N - 1 and 0 <= i < N and 0 <= j < N }")
-        // Pivot row k (read by every i) and pivot column k (read by every j),
-        // taken from the previous k-slice.
-        .edge("P", "P", "[N] -> { P[k, i, j] -> P[k2, i2, j2] : k2 = k + 1 and i = k + 1 and j2 = j and 0 <= k < N - 1 and 0 <= i2 < N and 0 <= j < N }")
-        .edge("P", "P", "[N] -> { P[k, i, j] -> P[k2, i2, j2] : k2 = k + 1 and j = k + 1 and i2 = i and 0 <= k < N - 1 and 0 <= i < N and 0 <= j2 < N }")
-        .build()
-        .unwrap();
     Kernel {
         name: "floyd-warshall",
         category: Category::Tileable,
         params: &["N"],
-        dfg,
+        dfg: || {
+            Dfg::builder()
+                .input("W", "[N] -> { W[i, j] : 0 <= i < N and 0 <= j < N }")
+                .statement_with_ops(
+                    "P",
+                    "[N] -> { P[k, i, j] : 0 <= k < N and 0 <= i < N and 0 <= j < N }",
+                    2,
+                )
+                .edge("W", "P", "[N] -> { W[i, j] -> P[k, i2, j2] : k = 0 and i2 = i and j2 = j and 0 <= i < N and 0 <= j < N }")
+                .edge("P", "P", "[N] -> { P[k, i, j] -> P[k + 1, i, j] : 0 <= k < N - 1 and 0 <= i < N and 0 <= j < N }")
+                // Pivot row k (read by every i) and pivot column k (read by every j),
+                // taken from the previous k-slice.
+                .edge("P", "P", "[N] -> { P[k, i, j] -> P[k2, i2, j2] : k2 = k + 1 and i = k + 1 and j2 = j and 0 <= k < N - 1 and 0 <= i2 < N and 0 <= j < N }")
+                .edge("P", "P", "[N] -> { P[k, i, j] -> P[k2, i2, j2] : k2 = k + 1 and j = k + 1 and i2 = i and 0 <= k < N - 1 and 0 <= i < N and 0 <= j2 < N }")
+                .build()
+                .unwrap()
+        },
         input_data: p("N") * p("N"),
         ops: (p("N") * p("N") * p("N")).scale(rat(2, 1)),
         oi_manual_desc: "sqrt(S)",
@@ -94,26 +90,27 @@ pub fn floyd_warshall() -> Kernel {
 /// Nussinov RNA folding (dynamic programming over intervals). Category 4: the
 /// paper's geometric bound of 2√S is known to be optimistic.
 pub fn nussinov() -> Kernel {
-    let dfg = Dfg::builder()
-        .input("Seq", "[N] -> { Seq[i] : 0 <= i < N }")
-        // table[i][j] = max over k of table[i][k] + table[k+1][j].
-        .statement_with_ops(
-            "Tb",
-            "[N] -> { Tb[i, j, k] : 0 <= i < j and j < N and i <= k < j }",
-            2,
-        )
-        .edge("Seq", "Tb", "[N] -> { Seq[i] -> Tb[i2, j, k] : i2 = i and 0 <= i < j and j < N and i <= k < j }")
-        .edge("Tb", "Tb", "[N] -> { Tb[i, j, k] -> Tb[i2, j2, k + 1] : i2 = i and j2 = j and 0 <= i < j and j < N and i <= k < j - 1 }")
-        // The maximised sub-problems: (i, k) and (k+1, j).
-        .edge("Tb", "Tb", "[N] -> { Tb[i, j, k] -> Tb[i2, j2, k2] : i2 = i and k = j - 1 and k2 = j and 0 <= i < j and j + 1 < N and j <= k2 }")
-        .edge("Tb", "Tb", "[N] -> { Tb[i, j, k] -> Tb[i2, j2, k2] : j2 = j and k = j - 1 and i2 = i - 1 and k2 = i - 1 and 1 <= i < j and j < N }")
-        .build()
-        .unwrap();
     Kernel {
         name: "nussinov",
         category: Category::OpenGap,
         params: &["N"],
-        dfg,
+        dfg: || {
+            Dfg::builder()
+                .input("Seq", "[N] -> { Seq[i] : 0 <= i < N }")
+                // table[i][j] = max over k of table[i][k] + table[k+1][j].
+                .statement_with_ops(
+                    "Tb",
+                    "[N] -> { Tb[i, j, k] : 0 <= i < j and j < N and i <= k < j }",
+                    2,
+                )
+                .edge("Seq", "Tb", "[N] -> { Seq[i] -> Tb[i2, j, k] : i2 = i and 0 <= i < j and j < N and i <= k < j }")
+                .edge("Tb", "Tb", "[N] -> { Tb[i, j, k] -> Tb[i2, j2, k + 1] : i2 = i and j2 = j and 0 <= i < j and j < N and i <= k < j - 1 }")
+                // The maximised sub-problems: (i, k) and (k+1, j).
+                .edge("Tb", "Tb", "[N] -> { Tb[i, j, k] -> Tb[i2, j2, k2] : i2 = i and k = j - 1 and k2 = j and 0 <= i < j and j + 1 < N and j <= k2 }")
+                .edge("Tb", "Tb", "[N] -> { Tb[i, j, k] -> Tb[i2, j2, k2] : j2 = j and k = j - 1 and i2 = i - 1 and k2 = i - 1 and 1 <= i < j and j < N }")
+                .build()
+                .unwrap()
+        },
         input_data: (p("N") * p("N")).scale(rat(1, 2)),
         ops: (p("N") * p("N") * p("N")).scale(rat(1, 3)),
         oi_manual_desc: "1",
@@ -128,28 +125,29 @@ pub fn nussinov() -> Kernel {
 /// Deriche recursive edge filter: four directional IIR passes over the image,
 /// each a streaming recurrence — the OI is a constant.
 pub fn deriche() -> Kernel {
-    let dfg = Dfg::builder()
-        .input("Img", "[W, H] -> { Img[i, j] : 0 <= i < W and 0 <= j < H }")
-        .statement_with_ops("Y1", "[W, H] -> { Y1[i, j] : 0 <= i < W and 0 <= j < H }", 8)
-        .statement_with_ops("Y2", "[W, H] -> { Y2[i, j] : 0 <= i < W and 0 <= j < H }", 8)
-        .statement_with_ops("Out", "[W, H] -> { Out[i, j] : 0 <= i < W and 0 <= j < H }", 16)
-        .edge("Img", "Y1", "[W, H] -> { Img[i, j] -> Y1[i2, j2] : i2 = i and j2 = j and 0 <= i < W and 0 <= j < H }")
-        // Horizontal causal recurrence.
-        .edge("Y1", "Y1", "[W, H] -> { Y1[i, j] -> Y1[i2, j + 1] : i2 = i and 0 <= i < W and 0 <= j < H - 1 }")
-        .edge("Img", "Y2", "[W, H] -> { Img[i, j] -> Y2[i2, j2] : i2 = i and j2 = j and 0 <= i < W and 0 <= j < H }")
-        // Horizontal anti-causal recurrence.
-        .edge("Y2", "Y2", "[W, H] -> { Y2[i, j] -> Y2[i2, j2] : i2 = i and j2 = j - 1 and 0 <= i < W and 1 <= j < H }")
-        .edge("Y1", "Out", "[W, H] -> { Y1[i, j] -> Out[i2, j2] : i2 = i and j2 = j and 0 <= i < W and 0 <= j < H }")
-        .edge("Y2", "Out", "[W, H] -> { Y2[i, j] -> Out[i2, j2] : i2 = i and j2 = j and 0 <= i < W and 0 <= j < H }")
-        // Vertical recurrence of the combining pass.
-        .edge("Out", "Out", "[W, H] -> { Out[i, j] -> Out[i + 1, j2] : j2 = j and 0 <= i < W - 1 and 0 <= j < H }")
-        .build()
-        .unwrap();
     Kernel {
         name: "deriche",
         category: Category::Streaming,
         params: &["W", "H"],
-        dfg,
+        dfg: || {
+            Dfg::builder()
+                .input("Img", "[W, H] -> { Img[i, j] : 0 <= i < W and 0 <= j < H }")
+                .statement_with_ops("Y1", "[W, H] -> { Y1[i, j] : 0 <= i < W and 0 <= j < H }", 8)
+                .statement_with_ops("Y2", "[W, H] -> { Y2[i, j] : 0 <= i < W and 0 <= j < H }", 8)
+                .statement_with_ops("Out", "[W, H] -> { Out[i, j] : 0 <= i < W and 0 <= j < H }", 16)
+                .edge("Img", "Y1", "[W, H] -> { Img[i, j] -> Y1[i2, j2] : i2 = i and j2 = j and 0 <= i < W and 0 <= j < H }")
+                // Horizontal causal recurrence.
+                .edge("Y1", "Y1", "[W, H] -> { Y1[i, j] -> Y1[i2, j + 1] : i2 = i and 0 <= i < W and 0 <= j < H - 1 }")
+                .edge("Img", "Y2", "[W, H] -> { Img[i, j] -> Y2[i2, j2] : i2 = i and j2 = j and 0 <= i < W and 0 <= j < H }")
+                // Horizontal anti-causal recurrence.
+                .edge("Y2", "Y2", "[W, H] -> { Y2[i, j] -> Y2[i2, j2] : i2 = i and j2 = j - 1 and 0 <= i < W and 1 <= j < H }")
+                .edge("Y1", "Out", "[W, H] -> { Y1[i, j] -> Out[i2, j2] : i2 = i and j2 = j and 0 <= i < W and 0 <= j < H }")
+                .edge("Y2", "Out", "[W, H] -> { Y2[i, j] -> Out[i2, j2] : i2 = i and j2 = j and 0 <= i < W and 0 <= j < H }")
+                // Vertical recurrence of the combining pass.
+                .edge("Out", "Out", "[W, H] -> { Out[i, j] -> Out[i + 1, j2] : j2 = j and 0 <= i < W - 1 and 0 <= j < H }")
+                .build()
+                .unwrap()
+        },
         input_data: poly_prod(&["H", "W"]),
         ops: poly_prod(&["H", "W"]).scale(rat(32, 1)),
         oi_manual_desc: "16/3",
@@ -164,9 +162,11 @@ pub fn deriche() -> Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iolb_poly::EngineCtx;
 
     #[test]
     fn all_misc_kernels_build() {
+        let _session = EngineCtx::new().enter();
         for k in [
             correlation(),
             covariance(),
@@ -175,7 +175,7 @@ mod tests {
             deriche(),
         ] {
             assert!(
-                k.dfg.statements().count() >= 1,
+                k.dfg().statements().count() >= 1,
                 "{} has no statements",
                 k.name
             );
@@ -186,8 +186,9 @@ mod tests {
 
     #[test]
     fn floyd_warshall_domain_is_cubic() {
-        let k = floyd_warshall();
-        let dom = &k.dfg.node("P").unwrap().domain;
+        let _session = EngineCtx::new().enter();
+        let dfg = floyd_warshall().dfg();
+        let dom = &dfg.node("P").unwrap().domain;
         assert_eq!(dom.enumerate(&[("N", 4)], 6).len(), 64);
     }
 

@@ -94,6 +94,17 @@ mod tests {
     }
 
     #[test]
+    fn lookups_do_no_engine_work() {
+        let session = iolb_poly::EngineCtx::new();
+        session.scope(|| {
+            assert!(kernel_by_name("gemm").is_some());
+            assert_eq!(all_kernels().len(), 30);
+        });
+        assert_eq!(session.stats(), iolb_poly::stats::Snapshot::default());
+        assert_eq!(session.interned_params(), 0);
+    }
+
+    #[test]
     fn lookup_by_name() {
         assert!(kernel_by_name("gemm").is_some());
         assert!(kernel_by_name("floyd-warshall").is_some());

@@ -5,23 +5,17 @@
 //! kernel whose bound comes from the wavefront argument; gramschmidt is one
 //! of the two category-4 kernels where the paper's own bound is optimistic.
 
-use crate::meta::{poly_prod, Category, Kernel};
+use crate::meta::{p, poly_prod, Category, Kernel};
 use iolb_dfg::Dfg;
 use iolb_math::rat;
-use iolb_symbol::Poly;
-
-fn p(name: &str) -> Poly {
-    Poly::param(name)
-}
 
 /// Cholesky factorisation (Appendix A, Fig. 7).
 pub fn cholesky() -> Kernel {
-    let dfg = cholesky_dfg();
     Kernel {
         name: "cholesky",
         category: Category::Tileable,
         params: &["N"],
-        dfg,
+        dfg: cholesky_dfg,
         input_data: (p("N") * p("N")).scale(rat(1, 2)),
         ops: (p("N") * p("N") * p("N")).scale(rat(1, 3)),
         oi_manual_desc: "sqrt(S)",
@@ -58,12 +52,11 @@ pub fn cholesky_dfg() -> Dfg {
 
 /// LU factorisation (Appendix B, Fig. 8).
 pub fn lu() -> Kernel {
-    let dfg = lu_dfg();
     Kernel {
         name: "lu",
         category: Category::Tileable,
         params: &["N"],
-        dfg,
+        dfg: lu_dfg,
         input_data: p("N") * p("N"),
         ops: (p("N") * p("N") * p("N")).scale(rat(2, 3)),
         oi_manual_desc: "sqrt(S)",
@@ -97,12 +90,11 @@ pub fn lu_dfg() -> Dfg {
 /// LU decomposition with forward/backward substitution; the factorisation
 /// dominates, so it shares lu's DFG while keeping ludcmp's op count.
 pub fn ludcmp() -> Kernel {
-    let dfg = lu_dfg();
     Kernel {
         name: "ludcmp",
         category: Category::Tileable,
         params: &["N"],
-        dfg,
+        dfg: lu_dfg,
         input_data: p("N") * p("N"),
         ops: (p("N") * p("N") * p("N")).scale(rat(2, 3)),
         oi_manual_desc: "sqrt(S)",
@@ -120,24 +112,25 @@ pub fn ludcmp() -> Kernel {
 /// produces α_k), so consecutive iterations are fully connected — the
 /// wavefront argument applies.
 pub fn durbin() -> Kernel {
-    let dfg = Dfg::builder()
-        .input("r", "[N] -> { r[k] : 0 <= k < N }")
-        .statement("Alpha", "[N] -> { Alpha[k] : 1 <= k < N }")
-        .statement_with_ops("Z", "[N] -> { Z[k, i] : 1 <= k < N and 0 <= i < k }", 2)
-        // alpha_k is a reduction over the previous solution vector.
-        .edge("Z", "Alpha", "[N] -> { Z[k, i] -> Alpha[k2] : k2 = k + 1 and 1 <= k < N - 1 and 0 <= i < k }")
-        .edge("r", "Alpha", "[N] -> { r[k] -> Alpha[k2] : k2 = k and 1 <= k < N }")
-        // z[k][i] uses z[k-1][i], z[k-1][k-1-i] (reversal) and alpha_k.
-        .edge("Z", "Z", "[N] -> { Z[k, i] -> Z[k + 1, i] : 1 <= k < N - 1 and 0 <= i < k }")
-        .edge("Z", "Z", "[N] -> { Z[k, i] -> Z[k2, i2] : k2 = k + 1 and i2 = k - 1 - i and 1 <= k < N - 1 and 0 <= i < k }")
-        .edge("Alpha", "Z", "[N] -> { Alpha[k] -> Z[k2, i] : k2 = k and 1 <= k < N and 0 <= i < k }")
-        .build()
-        .unwrap();
     Kernel {
         name: "durbin",
         category: Category::NotTileable,
         params: &["N"],
-        dfg,
+        dfg: || {
+            Dfg::builder()
+                .input("r", "[N] -> { r[k] : 0 <= k < N }")
+                .statement("Alpha", "[N] -> { Alpha[k] : 1 <= k < N }")
+                .statement_with_ops("Z", "[N] -> { Z[k, i] : 1 <= k < N and 0 <= i < k }", 2)
+                // alpha_k is a reduction over the previous solution vector.
+                .edge("Z", "Alpha", "[N] -> { Z[k, i] -> Alpha[k2] : k2 = k + 1 and 1 <= k < N - 1 and 0 <= i < k }")
+                .edge("r", "Alpha", "[N] -> { r[k] -> Alpha[k2] : k2 = k and 1 <= k < N }")
+                // z[k][i] uses z[k-1][i], z[k-1][k-1-i] (reversal) and alpha_k.
+                .edge("Z", "Z", "[N] -> { Z[k, i] -> Z[k + 1, i] : 1 <= k < N - 1 and 0 <= i < k }")
+                .edge("Z", "Z", "[N] -> { Z[k, i] -> Z[k2, i2] : k2 = k + 1 and i2 = k - 1 - i and 1 <= k < N - 1 and 0 <= i < k }")
+                .edge("Alpha", "Z", "[N] -> { Alpha[k] -> Z[k2, i] : k2 = k and 1 <= k < N and 0 <= i < k }")
+                .build()
+                .unwrap()
+        },
         input_data: p("N").scale(rat(2, 1)),
         ops: (p("N") * p("N")).scale(rat(2, 1)),
         oi_manual_desc: "2/3",
@@ -152,32 +145,33 @@ pub fn durbin() -> Kernel {
 /// Modified Gram-Schmidt orthogonalisation (category 4: the paper's bound of
 /// 2√S is optimistic; the best known schedule achieves a constant OI).
 pub fn gramschmidt() -> Kernel {
-    let dfg = Dfg::builder()
-        .input("Ain", "[M, N] -> { Ain[i, j] : 0 <= i < M and 0 <= j < N }")
-        // R[k][j] = Σ_i Q[i][k]·A[i][j]  (projection coefficients)
-        .statement_with_ops(
-            "R",
-            "[M, N] -> { R[k, j, i] : 0 <= k < N and k + 1 <= j < N and 0 <= i < M }",
-            2,
-        )
-        // A[i][j] -= Q[i][k]·R[k][j]     (update)
-        .statement_with_ops(
-            "Upd",
-            "[M, N] -> { Upd[k, j, i] : 0 <= k < N and k + 1 <= j < N and 0 <= i < M }",
-            2,
-        )
-        .edge("Ain", "R", "[M, N] -> { Ain[i, j] -> R[k, j2, i2] : k = 0 and j2 = j and i2 = i and 1 <= j < N and 0 <= i < M }")
-        .edge("R", "R", "[M, N] -> { R[k, j, i] -> R[k2, j2, i + 1] : k2 = k and j2 = j and 0 <= k < N and k + 1 <= j < N and 0 <= i < M - 1 }")
-        .edge("R", "Upd", "[M, N] -> { R[k, j, i] -> Upd[k2, j2, i2] : k2 = k and j2 = j and i = M - 1 and 0 <= k < N and k + 1 <= j < N and 0 <= i2 < M }")
-        .edge("Upd", "Upd", "[M, N] -> { Upd[k, j, i] -> Upd[k + 1, j, i] : 0 <= k < N - 1 and k + 2 <= j < N and 0 <= i < M }")
-        .edge("Upd", "R", "[M, N] -> { Upd[k, j, i] -> R[k2, j2, i2] : k2 = k + 1 and j2 = j and i2 = i and 0 <= k < N - 1 and k + 2 <= j < N and 0 <= i < M }")
-        .build()
-        .unwrap();
     Kernel {
         name: "gramschmidt",
         category: Category::OpenGap,
         params: &["M", "N"],
-        dfg,
+        dfg: || {
+            Dfg::builder()
+                .input("Ain", "[M, N] -> { Ain[i, j] : 0 <= i < M and 0 <= j < N }")
+                // R[k][j] = Σ_i Q[i][k]·A[i][j]  (projection coefficients)
+                .statement_with_ops(
+                    "R",
+                    "[M, N] -> { R[k, j, i] : 0 <= k < N and k + 1 <= j < N and 0 <= i < M }",
+                    2,
+                )
+                // A[i][j] -= Q[i][k]·R[k][j]     (update)
+                .statement_with_ops(
+                    "Upd",
+                    "[M, N] -> { Upd[k, j, i] : 0 <= k < N and k + 1 <= j < N and 0 <= i < M }",
+                    2,
+                )
+                .edge("Ain", "R", "[M, N] -> { Ain[i, j] -> R[k, j2, i2] : k = 0 and j2 = j and i2 = i and 1 <= j < N and 0 <= i < M }")
+                .edge("R", "R", "[M, N] -> { R[k, j, i] -> R[k2, j2, i + 1] : k2 = k and j2 = j and 0 <= k < N and k + 1 <= j < N and 0 <= i < M - 1 }")
+                .edge("R", "Upd", "[M, N] -> { R[k, j, i] -> Upd[k2, j2, i2] : k2 = k and j2 = j and i = M - 1 and 0 <= k < N and k + 1 <= j < N and 0 <= i2 < M }")
+                .edge("Upd", "Upd", "[M, N] -> { Upd[k, j, i] -> Upd[k + 1, j, i] : 0 <= k < N - 1 and k + 2 <= j < N and 0 <= i < M }")
+                .edge("Upd", "R", "[M, N] -> { Upd[k, j, i] -> R[k2, j2, i2] : k2 = k + 1 and j2 = j and i2 = i and 0 <= k < N - 1 and k + 2 <= j < N and 0 <= i < M }")
+                .build()
+                .unwrap()
+        },
         input_data: poly_prod(&["M", "N"]),
         ops: (p("M") * p("N") * p("N")).scale(rat(2, 1)),
         oi_manual_desc: "1",
@@ -192,12 +186,14 @@ pub fn gramschmidt() -> Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iolb_poly::EngineCtx;
 
     #[test]
     fn all_solver_kernels_build() {
+        let _session = EngineCtx::new().enter();
         for k in [cholesky(), lu(), ludcmp(), durbin(), gramschmidt()] {
             assert!(
-                k.dfg.statements().count() >= 1,
+                k.dfg().statements().count() >= 1,
                 "{} has no statements",
                 k.name
             );
@@ -208,6 +204,7 @@ mod tests {
 
     #[test]
     fn cholesky_dfg_matches_appendix_a() {
+        let _session = EngineCtx::new().enter();
         let g = cholesky_dfg();
         assert_eq!(g.statements().count(), 3);
         // The three dependence families of Fig. 7 into S3 are present.
@@ -219,6 +216,7 @@ mod tests {
 
     #[test]
     fn lu_dfg_matches_appendix_b() {
+        let _session = EngineCtx::new().enter();
         let g = lu_dfg();
         assert_eq!(g.statements().count(), 2);
         assert_eq!(g.edges_into("S2").count(), 4);

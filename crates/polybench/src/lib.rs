@@ -12,9 +12,11 @@
 //! ```
 //! use iolb_polybench::{kernel_by_name, all_kernels};
 //! use iolb_core::analyze;
+//! use iolb_poly::EngineCtx;
 //!
+//! // A lookup is free; the DFG is built, and analysed, in the caller's session.
 //! let gemm = kernel_by_name("gemm").unwrap();
-//! let analysis = analyze(&gemm.dfg, &gemm.analysis_options());
+//! let analysis = EngineCtx::new().scope(|| analyze(&gemm.dfg(), &gemm.analysis_options()));
 //! assert_eq!(analysis.q_asymptotic().to_string(), "2*Ni*Nj*Nk*S^(-1/2)");
 //! assert_eq!(all_kernels().len(), 30);
 //! ```

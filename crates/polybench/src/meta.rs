@@ -36,7 +36,8 @@ impl std::fmt::Display for Category {
 /// reported `OI_up` alongside our computed values).
 pub type OiFormula = fn(s: f64, params: &BTreeMap<String, f64>) -> f64;
 
-/// One PolyBench kernel: its DFG, Table-1 metadata and dataset sizes.
+/// One PolyBench kernel: a recipe for its DFG, its Table-1 metadata and
+/// dataset sizes. A kernel value holds no engine state.
 pub struct Kernel {
     /// Kernel name (PolyBench spelling).
     pub name: &'static str,
@@ -44,8 +45,8 @@ pub struct Kernel {
     pub category: Category,
     /// Program parameters.
     pub params: &'static [&'static str],
-    /// The data-flow graph analysed by IOLB.
-    pub dfg: Dfg,
+    /// Builds the data-flow graph analysed by IOLB (see [`Kernel::dfg`]).
+    pub(crate) dfg: fn() -> Dfg,
     /// Symbolic input-data size (Table 1, column 1).
     pub input_data: Poly,
     /// Symbolic operation count (Table 1, column 2).
@@ -66,27 +67,25 @@ pub struct Kernel {
     pub parametrization_depth: usize,
 }
 
-/// A built-in kernel is an [`iolb_core::Workload`]. `prepare` **rebuilds**
-/// the kernel by name inside the analysis session, so a `Kernel` value
-/// obtained in any session (or none) can be handed to the `Analyzer`
-/// safely — the pre-built [`Kernel::dfg`] field is ignored by this path.
+/// A built-in kernel is an [`iolb_core::Workload`]: `prepare` builds the
+/// DFG and the tuned options inside the analysis session, so a `Kernel`
+/// looked up anywhere can be handed to the `Analyzer`.
 impl iolb_core::Workload for Kernel {
     fn prepare(&self) -> Result<iolb_core::PreparedWorkload, iolb_core::WorkloadError> {
-        let fresh = crate::kernels::kernel_by_name(self.name).ok_or_else(|| {
-            iolb_core::WorkloadError::new(format!("unknown built-in kernel `{}`", self.name))
-        })?;
+        // The DFG first: it interns the parameters in their canonical order.
+        let dfg = self.dfg();
         Ok(iolb_core::PreparedWorkload {
-            name: fresh.name.to_string(),
-            params: fresh.params.iter().map(|p| p.to_string()).collect(),
-            options: Some(fresh.analysis_options()),
-            ops: Some(fresh.ops.clone()),
-            dfg: fresh.dfg,
+            name: self.name.to_string(),
+            params: self.params.iter().map(|p| p.to_string()).collect(),
+            options: Some(self.analysis_options()),
+            ops: Some(self.ops.clone()),
+            dfg,
             source: None,
         })
     }
 
-    /// Built-in kernels are canonical by name: `prepare` rebuilds the DFG
-    /// and tuned options purely from it, so the name alone is a sound
+    /// Built-in kernels are canonical by name: `prepare` builds the DFG and
+    /// tuned options purely from it, so the name alone is a sound
     /// content-address component.
     fn cache_key(&self) -> Option<String> {
         Some(format!("kernel:{}", self.name))
@@ -94,6 +93,11 @@ impl iolb_core::Workload for Kernel {
 }
 
 impl Kernel {
+    /// Builds the kernel's data-flow graph in the caller's engine session.
+    pub fn dfg(&self) -> Dfg {
+        (self.dfg)()
+    }
+
     /// Analysis options tuned for this kernel: the parameter context assumes
     /// moderately large sizes and the heuristic instance uses the LARGE
     /// dataset.
@@ -137,9 +141,9 @@ impl Kernel {
     }
 }
 
-/// Helper: `√S`.
-pub fn sqrt_s(s: f64) -> f64 {
-    s.sqrt()
+/// Helper: a program parameter as a `Poly`.
+pub(crate) fn p(name: &str) -> Poly {
+    Poly::param(name)
 }
 
 /// Helper: builds a `Poly` product of parameters.
@@ -158,10 +162,5 @@ mod tests {
         let p = poly_prod(&["M", "N"]);
         assert_eq!(p.to_string(), "M*N");
         assert_eq!(poly_prod(&[]).to_string(), "1");
-    }
-
-    #[test]
-    fn sqrt_helper() {
-        assert_eq!(sqrt_s(256.0), 16.0);
     }
 }

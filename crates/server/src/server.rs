@@ -316,13 +316,8 @@ impl Inner {
     /// Unpreparable workloads classify as small — the worker surfaces the
     /// real error, and a misrouted failure costs nothing.
     fn classify(&self, spec: &WorkloadSpec) -> CostClass {
-        let workload: Box<dyn Workload> = match spec {
-            WorkloadSpec::Kernel(name) => match iolb_polybench::kernel_by_name(name) {
-                Some(kernel) => Box::new(kernel),
-                None => return CostClass::Small,
-            },
-            WorkloadSpec::Source(text) => Box::new(iolb_frontend::IolbSource::new(text)),
-            WorkloadSpec::Path(path) => Box::new(iolb_frontend::IolbFile::new(path)),
+        let Ok(workload) = resolve(spec) else {
+            return CostClass::Small;
         };
         let key = workload.cache_key();
         if let Some(key) = &key {
@@ -908,6 +903,18 @@ fn worker_loop(inner: &Arc<Inner>, role: Role) {
     }
 }
 
+/// The workload a request names; `Err` carries an unknown kernel's name.
+/// Looking a built-in kernel up does no engine work.
+fn resolve(spec: &WorkloadSpec) -> Result<Box<dyn Workload>, &str> {
+    Ok(match spec {
+        WorkloadSpec::Kernel(name) => {
+            Box::new(iolb_polybench::kernel_by_name(name).ok_or(name.as_str())?)
+        }
+        WorkloadSpec::Source(text) => Box::new(iolb_frontend::IolbSource::new(text)),
+        WorkloadSpec::Path(path) => Box::new(iolb_frontend::IolbFile::new(path)),
+    })
+}
+
 /// Runs one analysis and renders the response line.
 ///
 /// Order matters for the stats satellite fix: the result-cache claim runs
@@ -922,20 +929,16 @@ fn execute(inner: &Inner, job: &Job, queue_ms: f64) -> String {
 
     // Resolve the workload before anything costly: an unknown kernel must
     // not consume a session, and fingerprinting needs the workload value.
-    let workload: Box<dyn Workload> = match &request.workload {
-        WorkloadSpec::Kernel(name) => match iolb_polybench::kernel_by_name(name) {
-            Some(kernel) => Box::new(kernel),
-            None => {
-                inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                return protocol::error_response(
-                    &id,
-                    ERR_UNKNOWN_KERNEL,
-                    &format!("unknown kernel \"{name}\" (see `iolb kernels` for the list)"),
-                );
-            }
-        },
-        WorkloadSpec::Source(text) => Box::new(iolb_frontend::IolbSource::new(text)),
-        WorkloadSpec::Path(path) => Box::new(iolb_frontend::IolbFile::new(path)),
+    let workload = match resolve(&request.workload) {
+        Ok(workload) => workload,
+        Err(name) => {
+            inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
+            return protocol::error_response(
+                &id,
+                ERR_UNKNOWN_KERNEL,
+                &format!("unknown kernel \"{name}\" (see `iolb kernels` for the list)"),
+            );
+        }
     };
 
     // The result-shaping knobs, applied before fingerprinting (budget and

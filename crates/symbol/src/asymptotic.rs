@@ -70,7 +70,8 @@ pub fn dominant_terms(p: &Poly, cache_param: &str) -> Poly {
 /// Asymptotically simplifies an expression: every `max` is resolved by keeping
 /// the arm whose dominant term grows fastest (using a large sample point to
 /// break exact-degree ties), then the dominant monomials of the resulting
-/// polynomial are retained.
+/// polynomial are retained. An arm whose dominant term is not positive at
+/// the sample point tends to −∞ or 0, so it never wins a `max`.
 pub fn simplify(e: &Expr, cache_param: &str) -> Poly {
     match e {
         Expr::Poly(p) => dominant_terms(p, cache_param),
@@ -78,7 +79,8 @@ pub fn simplify(e: &Expr, cache_param: &str) -> Poly {
             let mut best: Option<(Poly, (Rational, Rational), f64)> = None;
             for a in args {
                 let cand = simplify(a, cache_param);
-                if cand.is_zero() {
+                let sample = sample_value(&cand, cache_param);
+                if sample <= 0.0 {
                     continue;
                 }
                 let key = cand
@@ -87,7 +89,6 @@ pub fn simplify(e: &Expr, cache_param: &str) -> Poly {
                     .map(|m| key_of(m, cache_param))
                     .max()
                     .unwrap();
-                let sample = sample_value(&cand, cache_param);
                 let better = match &best {
                     None => true,
                     Some((_, bkey, bsample)) => key > *bkey || (key == *bkey && sample > *bsample),
@@ -178,6 +179,17 @@ mod tests {
             Expr::from_poly(n() * n() * Poly::int(3)),
         ]);
         assert_eq!(simplify(&e, "S").to_string(), "3*N^2");
+    }
+
+    #[test]
+    fn max_skips_arms_that_are_negative_at_the_sample_point() {
+        // max(2*N^2, -N^2*T): the higher-degree arm is negative, so 2*N^2 wins.
+        let t = Poly::param("T");
+        let e = Expr::max(vec![
+            Expr::from_poly(Poly::int(2) * n() * n()),
+            Expr::from_poly(Poly::int(-1) * n() * n() * t),
+        ]);
+        assert_eq!(simplify(&e, "S").to_string(), "2*N^2");
     }
 
     #[test]

@@ -20,8 +20,10 @@ fn main() {
 
     let mut all_sound = true;
     for (name, params, cache) in cases {
+        let _session = EngineCtx::new().enter();
         let kernel = iolb::polybench::kernel_by_name(name).expect("known kernel");
-        let analysis = analyze(&kernel.dfg, &kernel.analysis_options());
+        let dfg = kernel.dfg();
+        let analysis = analyze(&dfg, &kernel.analysis_options());
 
         // Evaluate the symbolic bound at the small instance.
         let mut eval_params = params.clone();
@@ -30,7 +32,7 @@ fn main() {
 
         // Measure the loads of a topological-order schedule under the pebble
         // game with `cache` red pebbles.
-        let cdag = Cdag::instantiate(&kernel.dfg, &params, 32);
+        let cdag = Cdag::instantiate(&dfg, &params, 32);
         let measured = simulate_topological(&cdag, cache);
 
         let sound = bound <= measured as f64 + 1e-9;

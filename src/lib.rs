@@ -79,8 +79,9 @@
 //!   [`EngineCtx`] with configurable capacities. Two sessions share
 //!   nothing: caches are freed when the session drops and statistics never
 //!   bleed between concurrent users. The [`Analyzer`] creates (or reuses) a
-//!   session per request; free-standing code runs against a scoped ambient
-//!   session ([`EngineCtx::scope`]).
+//!   session per request; free-standing code enters its own session first
+//!   ([`EngineCtx::scope`] or [`EngineCtx::enter`]). There is no global
+//!   fallback: an engine operation outside a session panics.
 //! * **Interning** ([`poly::interner`]): every parameter name is interned
 //!   once into the session's table, and an affine expression's parameter
 //!   part is a compact sorted `Vec<(ParamId, i128)>`. The hot loops of

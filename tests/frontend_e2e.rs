@@ -4,6 +4,7 @@
 //! built-in kernel.
 
 use iolb_core::{analyze, AnalysisOptions};
+use iolb_poly::EngineCtx;
 
 fn compile_example(name: &str) -> iolb_dfg::Dfg {
     let path = format!("{}/examples/programs/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -41,9 +42,10 @@ fn gemm_iolb_matches_builtin_kernel_through_analyzer() {
 /// equal ones.
 #[test]
 fn gemm_iolb_matches_builtin_kernel() {
+    let _session = EngineCtx::new().enter();
     let kernel = iolb_polybench::kernel_by_name("gemm").expect("builtin gemm");
     let options = kernel.analysis_options();
-    let builtin = analyze(&kernel.dfg, &options);
+    let builtin = analyze(&kernel.dfg(), &options);
 
     let dfg = compile_example("gemm.iolb");
     let frontend = analyze(&dfg, &options);
@@ -67,6 +69,7 @@ fn gemm_iolb_matches_builtin_kernel() {
 /// the boundary of `B` as well, hence `2*N^2`).
 #[test]
 fn jacobi_2d_iolb_compiles_and_analyses() {
+    let _session = EngineCtx::new().enter();
     let dfg = compile_example("jacobi-2d.iolb");
     // Two statements plus the initial contents of both arrays (the
     // boundary cells of B are never written, so they are genuine inputs).
@@ -97,6 +100,7 @@ fn jacobi_2d_iolb_compiles_and_analyses() {
 /// of the previous k, etc.) and analyse to the same asymptotic bound class.
 #[test]
 fn cholesky_iolb_compiles_and_analyses() {
+    let _session = EngineCtx::new().enter();
     let dfg = compile_example("cholesky.iolb");
     assert_eq!(dfg.statements().count(), 3);
 
@@ -108,7 +112,7 @@ fn cholesky_iolb_compiles_and_analyses() {
 
     let kernel = iolb_polybench::kernel_by_name("cholesky").expect("builtin cholesky");
     let options = kernel.analysis_options();
-    let builtin = analyze(&kernel.dfg, &options);
+    let builtin = analyze(&kernel.dfg(), &options);
     let analysis = analyze(&dfg, &options);
     assert_eq!(
         analysis.q_asymptotic().to_string(),

@@ -24,6 +24,7 @@ fn lattice_for(paths: &[iolb_dfg::DfgPath]) -> Lattice {
 /// asymptotically N³/(6√S).
 #[test]
 fn cholesky_appendix_a_bound() {
+    let _session = EngineCtx::new().enter();
     let dfg = iolb::polybench::kernels::solvers::cholesky_dfg();
     let domain = dfg.node("S3").unwrap().domain.clone();
     let paths: Vec<_> = genpaths(&dfg, "S3", &domain, &GenPathsOptions::default())
@@ -48,6 +49,7 @@ fn cholesky_appendix_a_bound() {
 /// asymptotically (2/3)·N³/√S (after summing the independent projections).
 #[test]
 fn lu_appendix_b_bound() {
+    let _session = EngineCtx::new().enter();
     let dfg = iolb::polybench::kernels::solvers::lu_dfg();
     let domain = dfg.node("S2").unwrap().domain.clone();
     let paths: Vec<_> = genpaths(&dfg, "S2", &domain, &GenPathsOptions::default())
@@ -90,6 +92,7 @@ fn lu_appendix_b_bound() {
 /// leading term M·N/S and OI upper bound O(S).
 #[test]
 fn example1_full_analysis() {
+    let _session = EngineCtx::new().enter();
     let dfg = Dfg::builder()
         .input("A", "[N] -> { A[i] : 0 <= i < N }")
         .input("C", "[M] -> { C[t] : 0 <= t < M }")
@@ -135,6 +138,7 @@ fn example1_full_analysis() {
 /// wavefront bound yields (M−1)(N−S) plus compulsory misses.
 #[test]
 fn example2_wavefront_decomposition() {
+    let _session = EngineCtx::new().enter();
     let dfg = Dfg::builder()
         .statement("S1", "[M, N] -> { S1[t, i] : 0 <= t < M and 0 <= i < N }")
         .statement("S2", "[M, N] -> { S2[t, i] : 0 <= t < M and 0 <= i < N }")
@@ -178,6 +182,7 @@ fn example2_wavefront_decomposition() {
 /// least N²/S-flavoured rather than the single-region N²/(2S).
 #[test]
 fn example3_decomposition() {
+    let _session = EngineCtx::new().enter();
     let dfg = Dfg::builder()
         .input("A", "[N] -> { A[i] : 0 <= i < N }")
         .statement("St", "[N] -> { St[k, i] : 0 <= k < N and 0 <= i < N }")

@@ -225,8 +225,8 @@ fn corpus_measurements() -> Vec<Pin> {
     for name in iolb::polybench::kernel_names() {
         EngineCtx::new().scope(|| {
             let kernel = iolb::polybench::kernel_by_name(name).unwrap();
-            let params = dfg_params(&kernel.dfg);
-            record(name, &kernel.dfg, &params);
+            let params = dfg_params(&kernel.dfg());
+            record(name, &kernel.dfg(), &params);
         });
     }
     for file in EXAMPLES {

@@ -13,8 +13,9 @@ type Case = (&'static str, Vec<(&'static str, i128)>, usize);
 
 #[test]
 fn every_kernel_analyses_and_bounds_at_least_its_inputs() {
+    let _session = EngineCtx::new().enter();
     for kernel in iolb::polybench::all_kernels() {
-        let analysis = analyze(&kernel.dfg, &kernel.analysis_options());
+        let analysis = analyze(&kernel.dfg(), &kernel.analysis_options());
         let inst = kernel.large_instance();
         let q = analysis.q_at(&inst).unwrap_or(0.0);
         // The compulsory-miss term alone already makes the bound at least the
@@ -33,6 +34,7 @@ fn every_kernel_analyses_and_bounds_at_least_its_inputs() {
 
 #[test]
 fn bounds_never_exceed_simulated_schedules_on_small_instances() {
+    let _session = EngineCtx::new().enter();
     let cases: Vec<Case> = vec![
         ("gemm", vec![("Ni", 6), ("Nj", 5), ("Nk", 7)], 12),
         ("jacobi-1d", vec![("T", 4), ("N", 10)], 6),
@@ -42,11 +44,11 @@ fn bounds_never_exceed_simulated_schedules_on_small_instances() {
     ];
     for (name, params, cache) in cases {
         let kernel = iolb::polybench::kernel_by_name(name).unwrap();
-        let analysis = analyze(&kernel.dfg, &kernel.analysis_options());
+        let analysis = analyze(&kernel.dfg(), &kernel.analysis_options());
         let mut eval = params.clone();
         eval.push(("S", cache as i128));
         let bound = analysis.q_low.eval_params(&eval).unwrap_or(0.0);
-        let cdag = Cdag::instantiate(&kernel.dfg, &params, 24);
+        let cdag = Cdag::instantiate(&kernel.dfg(), &params, 24);
         let measured = simulate_topological(&cdag, cache);
         assert!(
             bound <= measured as f64 + 1e-6,

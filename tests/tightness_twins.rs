@@ -58,7 +58,7 @@ fn builtin_gemm_and_iolb_gemm_are_trace_and_report_twins() {
     // The traces themselves are byte-identical, not just the summaries.
     let engine = EngineCtx::new();
     engine.scope(|| {
-        let builtin_dfg = iolb::polybench::kernel_by_name("gemm").unwrap().dfg;
+        let builtin_dfg = iolb::polybench::kernel_by_name("gemm").unwrap().dfg();
         let file_dfg = example("gemm.iolb").prepare().unwrap().dfg;
         let a = generate_trace(&builtin_dfg, &instance, 1_000_000).unwrap();
         let b = generate_trace(&file_dfg, &instance, 1_000_000).unwrap();
