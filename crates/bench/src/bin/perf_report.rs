@@ -2,9 +2,8 @@
 //! analysis across the 30-kernel PolyBench suite, plus engine-operation
 //! counters, so successive PRs have a perf trajectory to defend.
 //!
-//! Run with `cargo run --release -p iolb-bench --bin perf_report`; the
-//! `iolb bench` CLI subcommand is equivalent. Passing kernel names limits
-//! the run (and skips the JSON write).
+//! Run with `cargo run --release -p iolb-bench --bin perf_report`. Passing
+//! kernel names limits the run (and skips the JSON write).
 
 fn main() {
     let filter: Vec<String> = std::env::args().skip(1).collect();

@@ -2,8 +2,7 @@
 //! analysis plus engine-operation counters, serialised as
 //! `BENCH_analysis.json` so successive PRs have a record to defend.
 //!
-//! This is the library form of the `perf_report` binary; the `iolb bench`
-//! CLI subcommand drives the same code.
+//! This is the library form of the `perf_report` binary.
 //!
 //! Each kernel is analysed in its **own engine session** (fresh cache, fresh
 //! counters), so its row — wall-clock, operation counts and cache hit rates

@@ -1,7 +1,7 @@
 //! # iolb-cli
 //!
 //! The `iolb` command-line tool — the user-facing entry point of the
-//! reproduction. Three subcommands:
+//! reproduction. Its subcommands:
 //!
 //! * `iolb analyze <file.iolb>` — parse an affine-C program (see the
 //!   `iolb-frontend` grammar), run the Algorithm-6 driver, and print the
@@ -12,11 +12,17 @@
 //!   diagnostics with source positions, and the predicted cost class
 //!   (see `iolb-preflight`). Exits non-zero on error-severity
 //!   diagnostics.
+//! * `iolb simulate <file.iolb>` — the analysis plus the two-sided
+//!   tightness pass: measured LRU (and optionally OPT) misses of the
+//!   program's trace at a concrete instance, next to `Q_low`.
 //! * `iolb kernels` — list the built-in PolyBench kernels.
-//! * `iolb bench [kernel…]` — run the perf-trajectory suite
-//!   (`BENCH_analysis.json`), equivalent to the `perf_report` binary.
 //! * `iolb serve` — run the long-lived analysis daemon (line-delimited
 //!   JSON over TCP or stdio; protocol reference in `docs/SERVING.md`).
+//!
+//! `analyze`, `check` and `simulate` share one flag parser, and each lists
+//! the flags it accepts. The parsed request has the daemon's own shape
+//! ([`iolb_server::protocol::SimulateRequest`]), so the CLI and the daemon
+//! turn a request into an [`Analyzer`] with the same function.
 //!
 //! The command implementations live here (returning their output as
 //! strings) so they are unit-testable; `src/main.rs` only dispatches.
@@ -25,9 +31,9 @@
 
 use iolb_core::json::Json;
 use iolb_core::report::preflight_json;
-use iolb_core::Analyzer;
-use iolb_frontend::IolbFile;
+use iolb_core::{Analyzer, Workload};
 use iolb_poly::Budget;
+use iolb_server::protocol::{AnalyzeRequest, BudgetSpec, SimulateRequest, WorkloadSpec};
 
 /// A CLI failure: a message for stderr (the process exits non-zero).
 #[derive(Debug)]
@@ -62,7 +68,6 @@ USAGE:
                                          measured misses against Q_low
     iolb simulate --kernel <name> [OPTIONS]
     iolb kernels [--json]                list the built-in kernels
-    iolb bench [kernel...]               run the perf suite (BENCH_analysis.json)
     iolb serve [OPTIONS]                 run the analysis daemon (docs/SERVING.md)
     iolb help                            show this text
 
@@ -85,10 +90,6 @@ ANALYZE OPTIONS:
                          errors when no valid bound exists yet
     --max-fm-steps N     cap on Fourier-Motzkin variable eliminations
                          (same degradation semantics as --deadline-ms)
-    --no-result-cache    always recompute, even when the process-wide
-                         result cache already holds this exact analysis
-                         (--json output only; text reports always
-                         recompute)
 
 SIMULATE OPTIONS:
     --json               emit the full analysis report with the
@@ -139,47 +140,6 @@ daemon draws sessions from a bounded warm pool instead; results are
 byte-identical either way. Wire protocol: docs/SERVING.md.
 ";
 
-/// Parsed `analyze` options.
-struct AnalyzeArgs {
-    target: Target,
-    json: bool,
-    params: Vec<(String, i128)>,
-    /// `Some` only when the user passed `--cache-size` (built-in kernels
-    /// keep their tuned S otherwise).
-    cache_size: Option<i128>,
-    /// Session memoization-cache capacity (`--cache-cap`).
-    cache_cap: Option<usize>,
-    depth: Option<usize>,
-    serial: bool,
-    /// Wall-clock budget for the run (`--deadline-ms`).
-    deadline_ms: Option<u64>,
-    /// Fourier–Motzkin work budget (`--max-fm-steps`).
-    max_fm_steps: Option<u64>,
-    /// Skip the process-wide result cache (`--no-result-cache`).
-    no_result_cache: bool,
-}
-
-enum Target {
-    File(String),
-    Kernel(String),
-}
-
-impl Target {
-    /// The workload to analyse: a source file, or a built-in kernel by name.
-    fn workload(&self) -> Result<Box<dyn iolb_core::Workload>, CliError> {
-        Ok(match self {
-            Target::File(path) => Box::new(IolbFile::new(path)),
-            Target::Kernel(kname) => {
-                Box::new(iolb_polybench::kernel_by_name(kname).ok_or_else(|| {
-                    err(format!(
-                        "unknown kernel `{kname}` (see `iolb kernels` for the list)"
-                    ))
-                })?)
-            }
-        })
-    }
-}
-
 /// Runs the CLI with the given arguments (excluding the program name).
 /// Returns the stdout payload.
 ///
@@ -193,247 +153,205 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         Some("check") => cmd_check(&args[1..]),
         Some("simulate") => cmd_simulate(&args[1..]),
         Some("kernels") => cmd_kernels(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => Ok(USAGE.to_string()),
         Some(other) => Err(err(format!("unknown subcommand `{other}`\n\n{USAGE}"))),
     }
 }
 
-fn parse_analyze_args(args: &[String]) -> Result<AnalyzeArgs, CliError> {
-    let mut target: Option<Target> = None;
+/// A subcommand that analyses one workload.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Command {
+    Analyze,
+    Check,
+    Simulate,
+}
+
+impl Command {
+    fn name(self) -> &'static str {
+        match self {
+            Command::Analyze => "analyze",
+            Command::Check => "check",
+            Command::Simulate => "simulate",
+        }
+    }
+
+    /// The flags this subcommand accepts; every other `-…` argument is an
+    /// unknown option.
+    fn flags(self) -> &'static [&'static str] {
+        match self {
+            Command::Analyze => &[
+                "--json",
+                "--kernel",
+                "--param",
+                "--cache-size",
+                "--cache-cap",
+                "--depth",
+                "--serial",
+                "--deadline-ms",
+                "--max-fm-steps",
+            ],
+            Command::Check => &["--json", "--kernel", "--depth", "--assume"],
+            Command::Simulate => &[
+                "--json",
+                "--kernel",
+                "--param",
+                "--cache",
+                "--opt",
+                "--max-trace",
+                "--serial",
+                "--deadline-ms",
+            ],
+        }
+    }
+
+    fn unknown_option(self, flag: &str) -> CliError {
+        let kind = match self {
+            Command::Analyze => "option",
+            Command::Check => "check option",
+            Command::Simulate => "simulate option",
+        };
+        err(format!("unknown {kind} `{flag}`\n\n{USAGE}"))
+    }
+}
+
+/// The parsed options of `analyze`, `check` or `simulate`. The request half
+/// has the daemon's own shape, so both ways in build their [`Analyzer`]
+/// with [`AnalyzeRequest::analyzer`].
+struct Args {
+    json: bool,
+    /// `analyze` and `check` read only the analysis half. `simulate`'s
+    /// `--param` values are its trace instance, not analysis parameters.
+    request: SimulateRequest,
+    /// Wall-clock budget for the run (`--deadline-ms`).
+    deadline_ms: Option<u64>,
+    /// `(name, value, is_upper_bound)` context assumptions from `--assume`.
+    assumptions: Vec<(String, i128, bool)>,
+}
+
+impl Args {
+    fn analyzer(&self) -> Analyzer {
+        let mut analyzer = self.request.analyze.analyzer(Budget::none());
+        if let Some(ms) = self.deadline_ms {
+            analyzer = analyzer.deadline(std::time::Duration::from_millis(ms));
+        }
+        for (name, value, upper) in &self.assumptions {
+            analyzer = if *upper {
+                analyzer.assume_le(name.clone(), *value)
+            } else {
+                analyzer.assume_ge(name.clone(), *value)
+            };
+        }
+        analyzer
+    }
+
+    fn workload(&self) -> Result<Box<dyn Workload>, CliError> {
+        self.request.analyze.workload.resolve().map_err(|name| {
+            err(format!(
+                "unknown kernel `{name}` (see `iolb kernels` for the list)"
+            ))
+        })
+    }
+}
+
+type ArgIter<'a> = std::slice::Iter<'a, String>;
+
+/// The argument after `flag`.
+fn value<'a>(it: &mut ArgIter<'a>, flag: &str, what: &str) -> Result<&'a str, CliError> {
+    it.next()
+        .map(String::as_str)
+        .ok_or_else(|| err(format!("{flag} requires {what}")))
+}
+
+/// The number after `flag`.
+fn number<T: std::str::FromStr>(
+    it: &mut ArgIter<'_>,
+    flag: &str,
+    what: &str,
+) -> Result<T, CliError> {
+    let v = value(it, flag, what)?;
+    v.parse()
+        .map_err(|_| err(format!("malformed {flag} `{v}`")))
+}
+
+/// The positive count after `flag`.
+fn positive(it: &mut ArgIter<'_>, flag: &str, what: &str) -> Result<u64, CliError> {
+    match number(it, flag, what)? {
+        0 => Err(err(format!("{flag} must be positive"))),
+        n => Ok(n),
+    }
+}
+
+/// The one flag parser of `analyze`, `check` and `simulate`.
+fn parse_args(cmd: Command, args: &[String]) -> Result<Args, CliError> {
+    let mut workload = None;
     let mut json = false;
+    let mut parallel = true;
+    let mut opt = false;
     let mut params = Vec::new();
-    let mut cache_size = None;
-    let mut cache_cap = None;
-    let mut depth = None;
-    let mut serial = false;
-    let mut deadline_ms = None;
-    let mut max_fm_steps = None;
-    let mut no_result_cache = false;
+    let mut instance = Vec::new();
+    let mut cache_sizes = Vec::new();
+    let mut assumptions = Vec::new();
+    let (mut cache_size, mut cache_cap, mut depth) = (None, None, None);
+    let (mut deadline_ms, mut fm_steps, mut max_trace) = (None, None, None);
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    while let Some(arg) = it.next() {
+        let arg = arg.as_str();
+        if arg.starts_with('-') && !cmd.flags().contains(&arg) {
+            return Err(cmd.unknown_option(arg));
+        }
+        match arg {
             "--json" => json = true,
-            "--serial" => serial = true,
-            "--no-result-cache" => no_result_cache = true,
+            "--serial" => parallel = false,
+            "--opt" => opt = true,
             "--kernel" => {
-                let name = it
-                    .next()
-                    .ok_or_else(|| err("--kernel requires a kernel name"))?;
-                if target.is_some() {
+                let name = value(&mut it, arg, "a kernel name")?;
+                if workload.is_some() {
                     return Err(err(format!(
                         "--kernel {name} conflicts with an input file; pass one or the other"
                     )));
                 }
-                target = Some(Target::Kernel(name.clone()));
+                workload = Some(WorkloadSpec::Kernel(name.to_string()));
             }
             "--param" => {
-                let kv = it
-                    .next()
-                    .ok_or_else(|| err("--param requires NAME=VALUE"))?;
+                let kv = value(&mut it, arg, "NAME=VALUE")?;
                 let (name, value) = kv
                     .split_once('=')
                     .ok_or_else(|| err(format!("malformed --param `{kv}` (want NAME=VALUE)")))?;
                 let value: i128 = value
                     .parse()
                     .map_err(|_| err(format!("malformed --param value in `{kv}`")))?;
-                params.push((name.to_string(), value));
-            }
-            "--cache-size" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err("--cache-size requires a word count"))?;
-                cache_size = Some(
-                    v.parse()
-                        .map_err(|_| err(format!("malformed --cache-size `{v}`")))?,
-                );
-            }
-            "--cache-cap" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err("--cache-cap requires an entry count"))?;
-                cache_cap = Some(
-                    v.parse()
-                        .map_err(|_| err(format!("malformed --cache-cap `{v}`")))?,
-                );
-            }
-            "--depth" => {
-                let v = it.next().ok_or_else(|| err("--depth requires a number"))?;
-                depth = Some(
-                    v.parse()
-                        .map_err(|_| err(format!("malformed --depth `{v}`")))?,
-                );
-            }
-            "--deadline-ms" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err("--deadline-ms requires a millisecond count"))?;
-                let ms: u64 = v
-                    .parse()
-                    .map_err(|_| err(format!("malformed --deadline-ms `{v}`")))?;
-                if ms == 0 {
-                    return Err(err("--deadline-ms must be positive"));
-                }
-                deadline_ms = Some(ms);
-            }
-            "--max-fm-steps" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err("--max-fm-steps requires a step count"))?;
-                let steps: u64 = v
-                    .parse()
-                    .map_err(|_| err(format!("malformed --max-fm-steps `{v}`")))?;
-                if steps == 0 {
-                    return Err(err("--max-fm-steps must be positive"));
-                }
-                max_fm_steps = Some(steps);
-            }
-            other if other.starts_with('-') => {
-                return Err(err(format!("unknown option `{other}`\n\n{USAGE}")));
-            }
-            file => {
-                if target.is_some() {
-                    return Err(err(format!("unexpected argument `{file}`")));
-                }
-                target = Some(Target::File(file.to_string()));
-            }
-        }
-    }
-    let target = target.ok_or_else(|| err(format!("analyze: missing input\n\n{USAGE}")))?;
-    Ok(AnalyzeArgs {
-        target,
-        json,
-        params,
-        cache_size,
-        cache_cap,
-        depth,
-        serial,
-        deadline_ms,
-        max_fm_steps,
-        no_result_cache,
-    })
-}
-
-/// Builds the [`Analyzer`] for an `analyze` invocation: one fresh engine
-/// session per run, with every CLI override routed through the builder.
-/// File targets get the generic user-program defaults (context assumes
-/// moderately large sizes, the heuristic instance defaults every parameter
-/// to 2000 — the order of magnitude of the PolyBench LARGE datasets, so
-/// non-trivial sub-bounds survive the Sec. 7.2 combination heuristics);
-/// kernel targets keep their tuned options unless overridden.
-fn analyzer_for(args: &AnalyzeArgs) -> Analyzer {
-    let mut analyzer = Analyzer::new().parallel(!args.serial);
-    if let Some(cap) = args.cache_cap {
-        analyzer = analyzer.cache_capacity(cap);
-    }
-    if let Some(depth) = args.depth {
-        analyzer = analyzer.max_parametrization_depth(depth);
-    } else if matches!(args.target, Target::File(_)) {
-        analyzer = analyzer.max_parametrization_depth(0);
-    }
-    if let Some(s) = args.cache_size {
-        analyzer = analyzer.cache_size(s);
-    }
-    for (name, value) in &args.params {
-        analyzer = analyzer.param(name.clone(), *value);
-    }
-    if let Some(steps) = args.max_fm_steps {
-        analyzer = analyzer.budget(Budget::none().max_fm_steps(steps));
-    }
-    if let Some(ms) = args.deadline_ms {
-        analyzer = analyzer.deadline(std::time::Duration::from_millis(ms));
-    }
-    analyzer
-}
-
-/// The process-wide result cache behind `iolb analyze --json`: embedders
-/// calling [`run`] repeatedly (and the CLI's own tests) replay repeated
-/// analyses byte-identically instead of recomputing. Memory-tier only —
-/// a one-shot `iolb` process neither benefits from nor pays for a disk
-/// tier; persistent caching is the daemon's job (`iolb serve --cache-dir`).
-fn process_result_cache() -> std::sync::Arc<iolb_core::ResultCache> {
-    static CACHE: std::sync::OnceLock<std::sync::Arc<iolb_core::ResultCache>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(iolb_core::ResultCache::in_memory).clone()
-}
-
-fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
-    let args = parse_analyze_args(args)?;
-    let mut analyzer = analyzer_for(&args);
-    // Text reports render from the in-memory `Report`, which a cached JSON
-    // string cannot rebuild — only the `--json` path replays from the cache.
-    if args.json && !args.no_result_cache {
-        analyzer = analyzer.result_cache(process_result_cache());
-    }
-    let reply = analyzer
-        .analyze_cached(args.target.workload()?.as_ref())
-        .map_err(|e| err(e.to_string()))?;
-    if args.json {
-        return Ok(reply.to_json());
-    }
-    let outcome = match reply {
-        iolb_core::AnalysisReply::Computed { outcome, .. } => outcome,
-        iolb_core::AnalysisReply::Cached { .. } => {
-            unreachable!("text-mode analyses never attach the result cache")
-        }
-    };
-    {
-        let mut text = outcome.report.to_string();
-        if let Some(d) = &outcome.report.analysis.degradation {
-            text.push_str(&format!(
-                "\nNOTE: degraded result — the \"{}\" budget tripped after {}/{} candidate \
-                 jobs. The bound above is valid but may be weaker than the full analysis; \
-                 raise the budget to tighten it.\n",
-                d.interrupt.code(),
-                d.sweep_completed,
-                d.sweep_total,
-            ));
-        }
-        Ok(text)
-    }
-}
-
-/// Parsed `check` options.
-struct CheckArgs {
-    target: Target,
-    json: bool,
-    depth: Option<usize>,
-    /// `(name, value, is_upper_bound)` context assumptions from `--assume`.
-    assumptions: Vec<(String, i128, bool)>,
-}
-
-fn parse_check_args(args: &[String]) -> Result<CheckArgs, CliError> {
-    let mut target: Option<Target> = None;
-    let mut json = false;
-    let mut depth = None;
-    let mut assumptions = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--kernel" => {
-                let name = it
-                    .next()
-                    .ok_or_else(|| err("--kernel requires a kernel name"))?;
-                if target.is_some() {
+                if cmd != Command::Simulate {
+                    params.push((name.to_string(), value));
+                } else if value > 0 {
+                    instance.push((name.to_string(), value));
+                } else {
                     return Err(err(format!(
-                        "--kernel {name} conflicts with an input file; pass one or the other"
+                        "--param {name}={value}: simulated instances must be positive"
                     )));
                 }
-                target = Some(Target::Kernel(name.clone()));
             }
-            "--depth" => {
-                let v = it.next().ok_or_else(|| err("--depth requires a number"))?;
-                depth = Some(
-                    v.parse()
-                        .map_err(|_| err(format!("malformed --depth `{v}`")))?,
-                );
+            "--cache-size" => cache_size = Some(number(&mut it, arg, "a word count")?),
+            "--cache-cap" => cache_cap = Some(number(&mut it, arg, "an entry count")?),
+            "--depth" => depth = Some(number(&mut it, arg, "a number")?),
+            "--deadline-ms" => deadline_ms = Some(positive(&mut it, arg, "a millisecond count")?),
+            "--max-fm-steps" => fm_steps = Some(positive(&mut it, arg, "a step count")?),
+            "--max-trace" => max_trace = Some(positive(&mut it, arg, "an access count")?),
+            "--cache" => {
+                let list = value(&mut it, arg, "a comma-separated word-count list")?;
+                for piece in list.split(',') {
+                    let words: usize = piece
+                        .trim()
+                        .parse()
+                        .map_err(|_| err(format!("malformed --cache entry `{piece}`")))?;
+                    if words == 0 {
+                        return Err(err("--cache sizes must be positive"));
+                    }
+                    cache_sizes.push(words);
+                }
             }
             "--assume" => {
-                let spec = it
-                    .next()
-                    .ok_or_else(|| err("--assume requires NAME>=VALUE or NAME<=VALUE"))?;
+                let spec = value(&mut it, arg, "NAME>=VALUE or NAME<=VALUE")?;
                 let (name, value, upper) = if let Some((n, v)) = spec.split_once(">=") {
                     (n, v, false)
                 } else if let Some((n, v)) = spec.split_once("<=") {
@@ -448,24 +366,66 @@ fn parse_check_args(args: &[String]) -> Result<CheckArgs, CliError> {
                     .map_err(|_| err(format!("malformed --assume value in `{spec}`")))?;
                 assumptions.push((name.to_string(), value, upper));
             }
-            other if other.starts_with('-') => {
-                return Err(err(format!("unknown check option `{other}`\n\n{USAGE}")));
-            }
             file => {
-                if target.is_some() {
+                if workload.is_some() {
                     return Err(err(format!("unexpected argument `{file}`")));
                 }
-                target = Some(Target::File(file.to_string()));
+                workload = Some(WorkloadSpec::Path(file.to_string()));
             }
         }
     }
-    let target = target.ok_or_else(|| err(format!("check: missing input\n\n{USAGE}")))?;
-    Ok(CheckArgs {
-        target,
-        json,
+    let workload =
+        workload.ok_or_else(|| err(format!("{}: missing input\n\n{USAGE}", cmd.name())))?;
+    let analyze = AnalyzeRequest {
+        id: Json::Null,
+        workload,
+        params,
+        cache_param: None,
+        cache_size,
+        cache_cap,
         depth,
+        parallel,
+        timeout_ms: None,
+        budget: fm_steps.map(|n| BudgetSpec {
+            fm_steps: Some(n),
+            ..BudgetSpec::default()
+        }),
+    };
+    Ok(Args {
+        json,
+        request: SimulateRequest {
+            analyze,
+            instance,
+            cache_sizes,
+            opt,
+            max_trace,
+        },
+        deadline_ms,
         assumptions,
     })
+}
+
+fn cmd_analyze(args: &[String]) -> Result<String, CliError> {
+    let args = parse_args(Command::Analyze, args)?;
+    let outcome = args
+        .analyzer()
+        .analyze(args.workload()?.as_ref())
+        .map_err(|e| err(e.to_string()))?;
+    if args.json {
+        return Ok(outcome.to_json());
+    }
+    let mut text = outcome.report.to_string();
+    if let Some(d) = &outcome.report.analysis.degradation {
+        text.push_str(&format!(
+            "\nNOTE: degraded result — the \"{}\" budget tripped after {}/{} candidate \
+             jobs. The bound above is valid but may be weaker than the full analysis; \
+             raise the budget to tighten it.\n",
+            d.interrupt.code(),
+            d.sweep_completed,
+            d.sweep_total,
+        ));
+    }
+    Ok(text)
 }
 
 /// Renders a preflight report as human-readable text (the non-`--json`
@@ -514,22 +474,10 @@ fn render_check_text(report: &iolb_core::preflight::PreflightReport) -> String {
 }
 
 fn cmd_check(args: &[String]) -> Result<String, CliError> {
-    let args = parse_check_args(args)?;
-    let mut analyzer = Analyzer::new();
-    if let Some(depth) = args.depth {
-        analyzer = analyzer.max_parametrization_depth(depth);
-    } else if matches!(args.target, Target::File(_)) {
-        analyzer = analyzer.max_parametrization_depth(0);
-    }
-    for (name, value, upper) in &args.assumptions {
-        analyzer = if *upper {
-            analyzer.assume_le(name.clone(), *value)
-        } else {
-            analyzer.assume_ge(name.clone(), *value)
-        };
-    }
-    let report = analyzer
-        .preflight(args.target.workload()?.as_ref())
+    let args = parse_args(Command::Check, args)?;
+    let report = args
+        .analyzer()
+        .preflight(args.workload()?.as_ref())
         .map_err(|e| err(e.to_string()))?;
     let text = if args.json {
         format!("{}\n", preflight_json(&report).render())
@@ -545,127 +493,6 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
     } else {
         Ok(text)
     }
-}
-
-/// Parsed `simulate` options.
-struct SimulateArgs {
-    target: Target,
-    json: bool,
-    /// Concrete instance for trace generation (`--param`); empty means the
-    /// default all-16 instance derived by the tightness pass.
-    params: Vec<(String, i128)>,
-    /// Cache sizes in words (`--cache`), already parsed from the comma list.
-    cache_sizes: Vec<usize>,
-    opt: bool,
-    max_trace: Option<u64>,
-    serial: bool,
-    deadline_ms: Option<u64>,
-}
-
-fn parse_simulate_args(args: &[String]) -> Result<SimulateArgs, CliError> {
-    let mut target: Option<Target> = None;
-    let mut json = false;
-    let mut params = Vec::new();
-    let mut cache_sizes = Vec::new();
-    let mut opt = false;
-    let mut max_trace = None;
-    let mut serial = false;
-    let mut deadline_ms = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--opt" => opt = true,
-            "--serial" => serial = true,
-            "--kernel" => {
-                let name = it
-                    .next()
-                    .ok_or_else(|| err("--kernel requires a kernel name"))?;
-                if target.is_some() {
-                    return Err(err(format!(
-                        "--kernel {name} conflicts with an input file; pass one or the other"
-                    )));
-                }
-                target = Some(Target::Kernel(name.clone()));
-            }
-            "--param" => {
-                let kv = it
-                    .next()
-                    .ok_or_else(|| err("--param requires NAME=VALUE"))?;
-                let (name, value) = kv
-                    .split_once('=')
-                    .ok_or_else(|| err(format!("malformed --param `{kv}` (want NAME=VALUE)")))?;
-                let value: i128 = value
-                    .parse()
-                    .map_err(|_| err(format!("malformed --param value in `{kv}`")))?;
-                if value <= 0 {
-                    return Err(err(format!(
-                        "--param {name}={value}: simulated instances must be positive"
-                    )));
-                }
-                params.push((name.to_string(), value));
-            }
-            "--cache" => {
-                let list = it
-                    .next()
-                    .ok_or_else(|| err("--cache requires a comma-separated word-count list"))?;
-                for piece in list.split(',') {
-                    let words: usize = piece
-                        .trim()
-                        .parse()
-                        .map_err(|_| err(format!("malformed --cache entry `{piece}`")))?;
-                    if words == 0 {
-                        return Err(err("--cache sizes must be positive"));
-                    }
-                    cache_sizes.push(words);
-                }
-            }
-            "--max-trace" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err("--max-trace requires an access count"))?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| err(format!("malformed --max-trace `{v}`")))?;
-                if n == 0 {
-                    return Err(err("--max-trace must be positive"));
-                }
-                max_trace = Some(n);
-            }
-            "--deadline-ms" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| err("--deadline-ms requires a millisecond count"))?;
-                let ms: u64 = v
-                    .parse()
-                    .map_err(|_| err(format!("malformed --deadline-ms `{v}`")))?;
-                if ms == 0 {
-                    return Err(err("--deadline-ms must be positive"));
-                }
-                deadline_ms = Some(ms);
-            }
-            other if other.starts_with('-') => {
-                return Err(err(format!("unknown simulate option `{other}`\n\n{USAGE}")));
-            }
-            file => {
-                if target.is_some() {
-                    return Err(err(format!("unexpected argument `{file}`")));
-                }
-                target = Some(Target::File(file.to_string()));
-            }
-        }
-    }
-    let target = target.ok_or_else(|| err(format!("simulate: missing input\n\n{USAGE}")))?;
-    Ok(SimulateArgs {
-        target,
-        json,
-        params,
-        cache_sizes,
-        opt,
-        max_trace,
-        serial,
-        deadline_ms,
-    })
 }
 
 /// Renders the tightness report as human-readable text (the non-`--json`
@@ -706,31 +533,10 @@ fn render_tightness_text(report: &iolb_core::TightnessReport) -> String {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<String, CliError> {
-    let args = parse_simulate_args(args)?;
-    let mut analyzer = Analyzer::new().parallel(!args.serial);
-    if matches!(args.target, Target::File(_)) {
-        analyzer = analyzer.max_parametrization_depth(0);
-    }
-    if let Some(ms) = args.deadline_ms {
-        analyzer = analyzer.deadline(std::time::Duration::from_millis(ms));
-    }
-
-    let mut options = iolb_core::TightnessOptions::default()
-        .cache_sizes(&args.cache_sizes)
-        .opt(args.opt);
-    if !args.params.is_empty() {
-        let mut instance = iolb_core::Instance::new();
-        for (name, value) in &args.params {
-            instance = instance.set(name, *value);
-        }
-        options = options.instance(instance);
-    }
-    if let Some(n) = args.max_trace {
-        options = options.max_trace(n);
-    }
-
-    let outcome = analyzer
-        .analyze_with_tightness(args.target.workload()?.as_ref(), &options)
+    let args = parse_args(Command::Simulate, args)?;
+    let outcome = args
+        .analyzer()
+        .analyze_with_tightness(args.workload()?.as_ref(), &args.request.tightness_options())
         .map_err(|e| err(e.to_string()))?;
     if args.json {
         return Ok(outcome.to_json());
@@ -772,12 +578,6 @@ fn cmd_kernels(args: &[String]) -> Result<String, CliError> {
         ));
     }
     Ok(out)
-}
-
-fn cmd_bench(args: &[String]) -> Result<String, CliError> {
-    let run = iolb_bench::perf::run(args);
-    iolb_bench::perf::report_and_write(&run);
-    Ok(String::new())
 }
 
 /// Parsed `serve` options (separate from the server's own config so the
@@ -922,30 +722,6 @@ mod tests {
         .unwrap();
         assert!(json.contains("\"kernel\": \"gemm\""));
         assert!(json.contains("\"q_asymptotic\": \"2*Ni*Nj*Nk*S^(-1/2)\""));
-    }
-
-    #[test]
-    fn analyze_json_replays_byte_identically_from_the_result_cache() {
-        let args = |extra: &[&str]| {
-            let mut v = vec![
-                "analyze".to_string(),
-                "--kernel".to_string(),
-                "atax".to_string(),
-                "--json".to_string(),
-            ];
-            v.extend(extra.iter().map(|s| s.to_string()));
-            v
-        };
-        let first = run(&args(&[])).unwrap();
-        let replay = run(&args(&[])).unwrap();
-        // Byte-identical including the engine_stats trailer: a cached
-        // reply is the exact document of the producing run.
-        assert_eq!(first, replay, "cache replay must be byte-identical");
-        // Opting out recomputes: the report half must agree, while the
-        // per-run engine_stats (wall clock) legitimately differ.
-        let report_half = |s: &str| s[..s.find("\"engine_stats\"").expect("stats")].to_string();
-        let opt_out = run(&args(&["--no-result-cache"])).unwrap();
-        assert_eq!(report_half(&first), report_half(&opt_out));
     }
 
     #[test]

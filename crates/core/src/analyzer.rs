@@ -6,7 +6,8 @@
 //! `Analyzer` owns the whole lifecycle of one analysis request, the way a
 //! long-running service needs it:
 //!
-//! 1. it creates (or [reuses](Analyzer::engine)) an engine **session**
+//! 1. it creates (or [reuses](Analyzer::engine), or
+//!    [checks out of a pool](Analyzer::session_pool)) an engine **session**
 //!    ([`EngineCtx`]) with configurable capacities, so concurrent requests
 //!    share no cache or statistics;
 //! 2. it prepares the [`Workload`] *inside* that session, so every
@@ -42,6 +43,7 @@
 use crate::bound::Instance;
 use crate::driver::{analyze_interruptible, Analysis, AnalysisOptions};
 use crate::json::Json;
+use crate::pool::SessionPool;
 use crate::report::{preflight_json, Report};
 use crate::result_cache::{AnalysisFingerprint, Claim, ResultCache, Tier};
 use crate::tightness::{TightnessOptions, TightnessReport};
@@ -83,10 +85,22 @@ impl From<WorkloadError> for AnalyzeError {
     }
 }
 
+/// Where an [`Analyzer`] gets the engine session a run computes in.
+#[derive(Clone, Default)]
+enum SessionSource {
+    /// A fresh session per run.
+    #[default]
+    Fresh,
+    /// The caller's session ([`Analyzer::engine`]).
+    Given(Arc<EngineCtx>),
+    /// A session checked out of a pool ([`Analyzer::session_pool`]).
+    Pool(Arc<SessionPool>),
+}
+
 /// Builder for one analysis request. See the [module docs](self).
 #[derive(Clone, Default)]
 pub struct Analyzer {
-    engine: Option<Arc<EngineCtx>>,
+    session: SessionSource,
     cache_capacity: Option<usize>,
     parallel: Option<bool>,
     depth: Option<usize>,
@@ -95,7 +109,6 @@ pub struct Analyzer {
     param_values: Vec<(String, i128)>,
     assumptions: Vec<(String, i128)>,
     assumptions_le: Vec<(String, i128)>,
-    options_override: Option<AnalysisOptions>,
     deadline: Option<Duration>,
     budget: Option<Budget>,
     result_cache: Option<Arc<ResultCache>>,
@@ -113,15 +126,30 @@ impl Analyzer {
     /// objects built in that session). [`Analyzer::cache_capacity`] cannot
     /// apply retroactively and is ignored for a reused session.
     pub fn engine(mut self, engine: Arc<EngineCtx>) -> Self {
-        self.engine = Some(engine);
+        self.session = SessionSource::Given(engine);
+        self
+    }
+
+    /// Runs each analysis that computes in a session checked out of `pool`
+    /// (configured by [`Analyzer::cache_capacity`]) instead of a fresh one.
+    /// A reply that [`Analyzer::analyze_cached`] serves from the result
+    /// cache takes no session. The outcome's
+    /// [`session_warm`](AnalysisOutcome::session_warm) says whether the
+    /// session came warm; the caller then
+    /// [checks it back in](SessionPool::checkin) or drops it. A run whose
+    /// workload fails to prepare hands its session back to the pool itself,
+    /// and an interrupted run drops it: the interrupt unwound the engine
+    /// mid-query.
+    pub fn session_pool(mut self, pool: Arc<SessionPool>) -> Self {
+        self.session = SessionSource::Pool(pool);
         self
     }
 
     /// Total query-cache capacity (entries) for the session this analyzer
-    /// creates. The projection store (whose entries are whole constraint
-    /// systems) keeps its own default ceiling but never exceeds this budget,
-    /// so a capacity of 0 disables memoization entirely. Ignored when
-    /// [`Analyzer::engine`] supplies a session.
+    /// creates or checks out. The projection store (whose entries are whole
+    /// constraint systems) keeps its own default ceiling but never exceeds
+    /// this budget, so a capacity of 0 disables memoization entirely.
+    /// Ignored when [`Analyzer::engine`] supplies a session.
     pub fn cache_capacity(mut self, entries: usize) -> Self {
         self.cache_capacity = Some(entries);
         self
@@ -174,15 +202,6 @@ impl Analyzer {
         self
     }
 
-    /// Replaces the derived options wholesale (advanced; the other builder
-    /// knobs still apply on top). **Session binding applies** to the
-    /// options' context constraints — build them in the session given to
-    /// [`Analyzer::engine`], or prefer the plain-data knobs.
-    pub fn options(mut self, options: AnalysisOptions) -> Self {
-        self.options_override = Some(options);
-        self
-    }
-
     /// Wall-clock budget for the whole request (preparation + analysis),
     /// measured from the moment [`Analyzer::analyze`] is called. A tripped
     /// deadline degrades the outcome (see [`Analysis::degradation`]) or, if
@@ -228,12 +247,8 @@ impl Analyzer {
     /// entry).
     ///
     /// `None` — the request is uncacheable — when the workload has no
-    /// canonical key or when [`Analyzer::options`] replaced the derived
-    /// options wholesale (explicit options carry session-bound context).
+    /// canonical key.
     pub fn fingerprint<W: Workload + ?Sized>(&self, workload: &W) -> Option<AnalysisFingerprint> {
-        if self.options_override.is_some() {
-            return None;
-        }
         let key = workload.cache_key()?;
         let mut fp = iolb_poly::fxhash::Fingerprint::new(ANALYSIS_FINGERPRINT_TAG);
         fp.add(&crate::report::SCHEMA_VERSION);
@@ -273,24 +288,25 @@ impl Analyzer {
     /// coalesce into one computation (singleflight). Degraded or
     /// interrupted outcomes are never stored; a failed or degraded leader
     /// hands its waiters back to the claim loop so a later, un-budgeted
-    /// request recomputes in full.
+    /// request recomputes in full. This is the only path that claims
+    /// result-cache entries: the daemon serves every plain analysis
+    /// through it.
     pub fn analyze_cached<W: Workload + ?Sized>(
         &self,
         workload: &W,
     ) -> Result<AnalysisReply, AnalyzeError> {
-        let Some(cache) = &self.result_cache else {
+        let claim = self.result_cache.as_ref().and_then(|cache| {
+            let fingerprint = self.fingerprint(workload)?;
+            Some((cache.claim(fingerprint), fingerprint))
+        });
+        let Some((claim, fingerprint)) = claim else {
             return Ok(AnalysisReply::Computed {
                 outcome: Box::new(self.analyze(workload)?),
                 fingerprint: None,
+                published: None,
             });
         };
-        let Some(fingerprint) = self.fingerprint(workload) else {
-            return Ok(AnalysisReply::Computed {
-                outcome: Box::new(self.analyze(workload)?),
-                fingerprint: None,
-            });
-        };
-        match cache.claim(fingerprint) {
+        match claim {
             Claim::Hit(hit) => Ok(AnalysisReply::Cached {
                 json: hit.json,
                 fingerprint,
@@ -308,14 +324,18 @@ impl Analyzer {
                 // waiters empty-handed — nothing is ever cached on those
                 // paths.
                 let outcome = self.analyze(workload)?;
-                if outcome.analysis().degradation.is_none() {
-                    guard.publish(Arc::new(outcome.to_json()));
+                let published = if outcome.analysis().degradation.is_none() {
+                    let json = Arc::new(outcome.to_json());
+                    guard.publish(json.clone());
+                    Some(json)
                 } else {
                     drop(guard);
-                }
+                    None
+                };
                 Ok(AnalysisReply::Computed {
                     outcome: Box::new(outcome),
                     fingerprint: Some(fingerprint),
+                    published,
                 })
             }
         }
@@ -395,14 +415,17 @@ impl Analyzer {
         workload: &W,
         tightness_options: Option<&TightnessOptions>,
     ) -> Result<AnalysisOutcome, AnalyzeError> {
-        let engine = match &self.engine {
-            Some(engine) => engine.clone(),
-            None => {
-                let defaults = EngineConfig::default();
-                EngineCtx::with_config(EngineConfig {
-                    cache_capacity: self.cache_capacity.unwrap_or(defaults.cache_capacity),
-                    ..defaults
-                })
+        let defaults = EngineConfig::default();
+        let config = EngineConfig {
+            cache_capacity: self.cache_capacity.unwrap_or(defaults.cache_capacity),
+            ..defaults
+        };
+        let (engine, session_warm) = match &self.session {
+            SessionSource::Fresh => (EngineCtx::with_config(config), false),
+            SessionSource::Given(engine) => (engine.clone(), false),
+            SessionSource::Pool(pool) => {
+                let checkout = pool.checkout(&config);
+                (checkout.engine, checkout.warm)
             }
         };
         // The request's budget lives on the session only while this call
@@ -453,10 +476,18 @@ impl Analyzer {
                 cache_entries: engine.cache_len(),
                 elapsed,
                 tightness,
+                session_warm,
                 engine: engine.clone(),
             })
         });
         engine.clear_budget();
+        // A workload that fails to prepare leaves the session intact, so it
+        // goes back to the pool; an interrupted run's session is dropped.
+        if let (SessionSource::Pool(pool), Err(AnalyzeError::Workload(_))) =
+            (&self.session, &result)
+        {
+            pool.checkin(engine);
+        }
         result
     }
 
@@ -477,9 +508,9 @@ impl Analyzer {
         &self,
         workload: &W,
     ) -> Result<iolb_preflight::PreflightReport, AnalyzeError> {
-        let engine = match &self.engine {
-            Some(engine) => engine.clone(),
-            None => EngineCtx::new(),
+        let engine = match &self.session {
+            SessionSource::Given(engine) => engine.clone(),
+            SessionSource::Fresh | SessionSource::Pool(_) => EngineCtx::new(),
         };
         engine.scope(|| {
             let prepared = workload.prepare()?;
@@ -518,10 +549,9 @@ impl Analyzer {
 
     /// Applies defaults and builder overrides to produce the final options.
     fn resolve_options(&self, prepared: &PreparedWorkload) -> AnalysisOptions {
-        let mut options = match (&self.options_override, &prepared.options) {
-            (Some(explicit), _) => explicit.clone(),
-            (None, Some(tuned)) => tuned.clone(),
-            (None, None) => Analyzer::default_options_for(&prepared.params),
+        let mut options = match &prepared.options {
+            Some(tuned) => tuned.clone(),
+            None => Analyzer::default_options_for(&prepared.params),
         };
         if let Some(depth) = self.depth {
             options.max_parametrization_depth = depth;
@@ -584,6 +614,10 @@ pub struct AnalysisOutcome {
     /// [`Analyzer::analyze_with_tightness`] / [`Analyzer::simulate`]
     /// (`None` on the plain path, whose report bytes stay unchanged).
     pub tightness: Option<TightnessReport>,
+    /// Whether the session came warm from the analyzer's
+    /// [session pool](Analyzer::session_pool) (`false` for a fresh or a
+    /// caller-supplied session).
+    pub session_warm: bool,
     engine: Arc<EngineCtx>,
 }
 
@@ -658,6 +692,9 @@ pub enum AnalysisReply {
         outcome: Box<AnalysisOutcome>,
         /// The request's content address, when cacheable.
         fingerprint: Option<AnalysisFingerprint>,
+        /// The document as stored in the result cache (`None` when
+        /// nothing was stored); [`AnalysisReply::to_json`] reuses it.
+        published: Option<Arc<String>>,
     },
     /// Served from the result cache (or a coalesced leader computation):
     /// the exact serialized document of the producing run.
@@ -700,8 +737,12 @@ impl AnalysisReply {
     /// cached.
     pub fn to_json(&self) -> String {
         match self {
+            AnalysisReply::Computed {
+                published: Some(json),
+                ..
+            }
+            | AnalysisReply::Cached { json, .. } => (**json).clone(),
             AnalysisReply::Computed { outcome, .. } => outcome.to_json(),
-            AnalysisReply::Cached { json, .. } => (**json).clone(),
         }
     }
 }
@@ -804,6 +845,7 @@ mod tests {
             cache_entries: 0,
             elapsed: Duration::ZERO,
             tightness: None,
+            session_warm: false,
             engine: outcome.engine.clone(),
         };
         let json = idle.to_json();
@@ -875,6 +917,7 @@ mod tests {
             cache_entries: outcome.cache_entries,
             elapsed: outcome.elapsed,
             tightness: None,
+            session_warm: false,
             engine: outcome.engine.clone(),
         };
         let json = degraded.to_json();
@@ -933,6 +976,51 @@ mod tests {
         assert!(tightness.instances[0].caches.is_empty());
         assert!(outcome.analysis().degradation.is_none());
         assert!(outcome.to_json().contains("\"skipped\": \""));
+    }
+
+    #[test]
+    fn pooled_sessions_are_taken_only_by_runs_that_compute() {
+        struct KeyedGemm;
+        impl Workload for KeyedGemm {
+            fn prepare(&self) -> Result<PreparedWorkload, WorkloadError> {
+                GemmDfg.prepare()
+            }
+            fn cache_key(&self) -> Option<String> {
+                Some("gemm-dfg".to_string())
+            }
+        }
+        let pool = Arc::new(SessionPool::new(2));
+        let analyzer = Analyzer::new()
+            .parallel(false)
+            .session_pool(pool.clone())
+            .result_cache(ResultCache::in_memory());
+        let AnalysisReply::Computed { outcome, .. } = analyzer.analyze_cached(&KeyedGemm).unwrap()
+        else {
+            panic!("a cold request computes");
+        };
+        assert!(!outcome.session_warm);
+        pool.checkin(outcome.engine().clone());
+        assert!(analyzer.analyze_cached(&KeyedGemm).unwrap().cached());
+        assert_eq!(
+            pool.stats().misses + pool.stats().hits,
+            1,
+            "a hit takes no session"
+        );
+        // A computing run gets the pooled session back, warm.
+        assert!(analyzer.analyze(&KeyedGemm).unwrap().session_warm);
+        // A workload that fails to prepare hands its session back.
+        struct Broken;
+        impl Workload for Broken {
+            fn prepare(&self) -> Result<PreparedWorkload, WorkloadError> {
+                Err(WorkloadError::new("broken"))
+            }
+        }
+        let idle = pool.len();
+        assert!(matches!(
+            analyzer.analyze(&Broken),
+            Err(AnalyzeError::Workload(_))
+        ));
+        assert_eq!(pool.len(), idle + 1);
     }
 
     #[test]

@@ -222,7 +222,7 @@ fn knob_order_is_canonicalized_but_knob_values_are_not() {
 }
 
 #[test]
-fn execution_knobs_are_excluded_and_overrides_opt_out() {
+fn execution_knobs_are_excluded_and_keyless_workloads_opt_out() {
     let _session = EngineCtx::new().enter();
     let w = Keyed("exec");
     let base = Analyzer::new().fingerprint(&w).unwrap();
@@ -245,11 +245,7 @@ fn execution_knobs_are_excluded_and_overrides_opt_out() {
             .fingerprint(&w),
         Some(base)
     );
-    // Wholesale options replacement carries session-bound context the
-    // fingerprint cannot see: uncacheable by design.
-    let opts = Analyzer::default_options_for(&["N".to_string()]);
-    assert_eq!(Analyzer::new().options(opts).fingerprint(&w), None);
-    // So is a workload with no canonical key.
+    // A workload with no canonical key is uncacheable.
     struct Keyless;
     impl Workload for Keyless {
         fn prepare(&self) -> Result<PreparedWorkload, WorkloadError> {

@@ -441,7 +441,9 @@ mod tests {
     #[should_panic(expected = "enter it with `EngineCtx::scope` or `EngineCtx::enter`")]
     fn card_in_requires_its_engine_to_be_ambient() {
         let _session = EngineCtx::new().enter();
-        let set = BasicSet::universe(Space::new("S", &["i"])).ge0_var(0).to_set();
+        let set = BasicSet::universe(Space::new("S", &["i"]))
+            .ge0_var(0)
+            .to_set();
         let _ = card_in(&EngineCtx::new(), &set, &ctx());
     }
 

@@ -3,7 +3,10 @@
 //! One request per line, one response per line, both JSON objects — the
 //! full field-by-field reference lives in `docs/SERVING.md`. This module is
 //! the single place where field names and error codes are defined;
-//! everything in the docs maps 1:1 to a constant or struct field here.
+//! everything in the docs maps 1:1 to a constant or struct field here. It
+//! also turns a parsed request into its [`Analyzer`]
+//! ([`AnalyzeRequest::analyzer`]); the `iolb` CLI parses its flags into the
+//! same request types, so both ways in analyse a request the same way.
 //!
 //! Parsing is **strict**: unknown top-level fields, wrong field types and
 //! ambiguous workload specifications are `bad_request` errors rather than
@@ -11,6 +14,8 @@
 //! immediately instead of producing a subtly misconfigured analysis.
 
 use crate::json::{self, Json};
+use iolb_core::{Analyzer, Instance, TightnessOptions, Workload};
+use iolb_poly::Budget;
 
 /// Error code: the request line was not valid JSON, not an object, had
 /// unknown or ill-typed fields, or named no workload.
@@ -113,6 +118,83 @@ pub struct SimulateRequest {
     /// `"max_trace"`: trace-length budget; oversized instances degrade to
     /// a skipped entry.
     pub max_trace: Option<u64>,
+}
+
+impl WorkloadSpec {
+    /// The workload this spec names; `Err` carries an unknown kernel's
+    /// name. Looking a built-in kernel up does no engine work.
+    pub fn resolve(&self) -> Result<Box<dyn Workload>, &str> {
+        Ok(match self {
+            WorkloadSpec::Kernel(name) => {
+                Box::new(iolb_polybench::kernel_by_name(name).ok_or(name.as_str())?)
+            }
+            WorkloadSpec::Source(text) => Box::new(iolb_frontend::IolbSource::new(text)),
+            WorkloadSpec::Path(path) => Box::new(iolb_frontend::IolbFile::new(path)),
+        })
+    }
+}
+
+impl AnalyzeRequest {
+    /// The [`Analyzer`] for this request: the one translation from a
+    /// request to the analysis, shared by the daemon and the `iolb` CLI.
+    /// `budget` is what the caller arms (the daemon's cancel token and
+    /// deadline); the request's own `budget` limits are added to it.
+    pub fn analyzer(&self, mut budget: Budget) -> Analyzer {
+        let mut analyzer = Analyzer::new().parallel(self.parallel);
+        match (self.depth, &self.workload) {
+            (Some(depth), _) => analyzer = analyzer.max_parametrization_depth(depth),
+            // Built-in kernels keep their tuned depth.
+            (None, WorkloadSpec::Kernel(_)) => {}
+            // User programs default to the global analysis.
+            (None, _) => analyzer = analyzer.max_parametrization_depth(0),
+        }
+        if let Some(cap) = self.cache_cap {
+            analyzer = analyzer.cache_capacity(cap);
+        }
+        if let Some(cache_param) = &self.cache_param {
+            analyzer = analyzer.cache_param(cache_param.clone());
+        }
+        if let Some(cache_size) = self.cache_size {
+            analyzer = analyzer.cache_size(cache_size);
+        }
+        for (name, value) in &self.params {
+            analyzer = analyzer.param(name.clone(), *value);
+        }
+        if let Some(spec) = &self.budget {
+            if let Some(n) = spec.fm_steps {
+                budget = budget.max_fm_steps(n);
+            }
+            if let Some(n) = spec.constraints {
+                budget = budget.max_constraints(n);
+            }
+            if let Some(n) = spec.cache_entries {
+                budget = budget.max_cache_entries(n);
+            }
+        }
+        analyzer.budget(budget)
+    }
+}
+
+impl SimulateRequest {
+    /// The tightness-pass options of this request (shared by the daemon
+    /// and `iolb simulate`).
+    pub fn tightness_options(&self) -> TightnessOptions {
+        let mut options = TightnessOptions::default().opt(self.opt);
+        if !self.cache_sizes.is_empty() {
+            options = options.cache_sizes(&self.cache_sizes);
+        }
+        if !self.instance.is_empty() {
+            let mut instance = Instance::new();
+            for (name, value) in &self.instance {
+                instance = instance.set(name, *value);
+            }
+            options = options.instance(instance);
+        }
+        if let Some(n) = self.max_trace {
+            options = options.max_trace(n);
+        }
+        options
+    }
 }
 
 /// Any parsed request line.

@@ -35,17 +35,16 @@
 use crate::json::Json;
 use crate::protocol::{
     self, control_response, ok_response, overloaded_response, parse_request, AnalyzeRequest,
-    CacheInfo, DegradedInfo, Request, ServiceTimings, SimulateRequest, WorkloadSpec,
-    ERR_RESOURCE_LIMIT, ERR_SHUTTING_DOWN, ERR_TIMEOUT, ERR_UNKNOWN_KERNEL, ERR_WORKLOAD,
+    CacheInfo, DegradedInfo, Request, ServiceTimings, WorkloadSpec, ERR_RESOURCE_LIMIT,
+    ERR_SHUTTING_DOWN, ERR_TIMEOUT, ERR_UNKNOWN_KERNEL, ERR_WORKLOAD,
 };
 use iolb_core::pool::SessionPool;
 use iolb_core::preflight::CostClass;
-use iolb_core::result_cache::Claim;
 use iolb_core::{
-    AnalyzeError, Analyzer, DiskTierConfig, Instance, ResultCache, ResultCacheConfig,
-    TightnessOptions, Workload,
+    AnalysisReply, AnalyzeError, Analyzer, DiskTierConfig, ResultCache, ResultCacheConfig,
+    TightnessOptions,
 };
-use iolb_poly::{Budget, CancelToken, EngineConfig, EngineInterrupt};
+use iolb_poly::{Budget, CancelToken, EngineInterrupt};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -98,21 +97,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// The trace-simulation knobs of a `simulate` job, detached from the
-/// analysis half so the queue/worker pipeline is shared with `analyze`.
-struct SimulateSpec {
-    instance: Vec<(String, i128)>,
-    cache_sizes: Vec<usize>,
-    opt: bool,
-    max_trace: Option<u64>,
-}
-
 /// One queued analysis.
 struct Job {
     request: AnalyzeRequest,
     /// `Some` for `simulate` jobs: run the tightness pass after the
     /// analysis and attach the measured-locality report.
-    simulate: Option<SimulateSpec>,
+    simulate: Option<TightnessOptions>,
     reply: mpsc::Sender<String>,
     enqueued_at: Instant,
     /// Cancelled by the client when it stops waiting (timeout). A worker
@@ -251,7 +241,7 @@ enum Role {
 
 struct Inner {
     config: ServerConfig,
-    pool: SessionPool,
+    pool: Arc<SessionPool>,
     /// The content-addressed result cache, `None` when disabled
     /// (`result_cache_entries == 0` and no `cache_dir`).
     result_cache: Option<Arc<ResultCache>>,
@@ -316,7 +306,7 @@ impl Inner {
     /// Unpreparable workloads classify as small — the worker surfaces the
     /// real error, and a misrouted failure costs nothing.
     fn classify(&self, spec: &WorkloadSpec) -> CostClass {
-        let Ok(workload) = resolve(spec) else {
+        let Ok(workload) = spec.resolve() else {
             return CostClass::Small;
         };
         let key = workload.cache_key();
@@ -396,7 +386,7 @@ impl Server {
             }
         };
         let inner = Arc::new(Inner {
-            pool: SessionPool::new(config.pool_capacity),
+            pool: Arc::new(SessionPool::new(config.pool_capacity)),
             result_cache,
             queue: Mutex::new(Lanes::default()),
             queue_cv: Condvar::new(),
@@ -463,27 +453,17 @@ impl Server {
             }
             Request::Analyze(request) => self.handle_analyze(*request, None),
             Request::Simulate(request) => {
-                let SimulateRequest {
-                    analyze,
-                    instance,
-                    cache_sizes,
-                    opt,
-                    max_trace,
-                } = *request;
-                self.handle_analyze(
-                    analyze,
-                    Some(SimulateSpec {
-                        instance,
-                        cache_sizes,
-                        opt,
-                        max_trace,
-                    }),
-                )
+                let options = request.tightness_options();
+                self.handle_analyze(request.analyze, Some(options))
             }
         }
     }
 
-    fn handle_analyze(&self, request: AnalyzeRequest, simulate: Option<SimulateSpec>) -> String {
+    fn handle_analyze(
+        &self,
+        request: AnalyzeRequest,
+        simulate: Option<TightnessOptions>,
+    ) -> String {
         let inner = &*self.inner;
         inner.metrics.received.fetch_add(1, Ordering::Relaxed);
         if simulate.is_some() {
@@ -903,33 +883,20 @@ fn worker_loop(inner: &Arc<Inner>, role: Role) {
     }
 }
 
-/// The workload a request names; `Err` carries an unknown kernel's name.
-/// Looking a built-in kernel up does no engine work.
-fn resolve(spec: &WorkloadSpec) -> Result<Box<dyn Workload>, &str> {
-    Ok(match spec {
-        WorkloadSpec::Kernel(name) => {
-            Box::new(iolb_polybench::kernel_by_name(name).ok_or(name.as_str())?)
-        }
-        WorkloadSpec::Source(text) => Box::new(iolb_frontend::IolbSource::new(text)),
-        WorkloadSpec::Path(path) => Box::new(iolb_frontend::IolbFile::new(path)),
-    })
-}
-
 /// Runs one analysis and renders the response line.
 ///
-/// Order matters for the stats satellite fix: the result-cache claim runs
-/// **before** any session checkout, so requests served from the cache (or
-/// coalesced onto an in-flight leader) never touch the [`SessionPool`] —
-/// only the leader's computation registers a pool hit/miss, and coalesced
-/// waiters are counted under `inflight_coalesced` alone.
+/// Plain jobs go through [`Analyzer::analyze_cached`], which claims the
+/// result cache before it takes a session: requests served from the cache
+/// (or coalesced onto an in-flight leader) never touch the
+/// [`SessionPool`], so only a computation registers a pool hit or miss.
 fn execute(inner: &Inner, job: &Job, queue_ms: f64) -> String {
     let request = &job.request;
     let id = request.id.render();
     let started = Instant::now();
 
     // Resolve the workload before anything costly: an unknown kernel must
-    // not consume a session, and fingerprinting needs the workload value.
-    let workload = match resolve(&request.workload) {
+    // not consume a session.
+    let workload = match request.workload.resolve() {
         Ok(workload) => workload,
         Err(name) => {
             inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
@@ -941,139 +908,89 @@ fn execute(inner: &Inner, job: &Job, queue_ms: f64) -> String {
         }
     };
 
-    // The result-shaping knobs, applied before fingerprinting (budget and
-    // engine attach later — neither participates in the fingerprint).
-    let mut analyzer = Analyzer::new().parallel(request.parallel);
-    if let Some(depth) = request.depth {
-        analyzer = analyzer.max_parametrization_depth(depth);
-    } else if !matches!(request.workload, WorkloadSpec::Kernel(_)) {
-        // User programs default to the global analysis, like `iolb analyze`
-        // (built-in kernels keep their tuned depth).
-        analyzer = analyzer.max_parametrization_depth(0);
-    }
-    if let Some(cache_param) = &request.cache_param {
-        analyzer = analyzer.cache_param(cache_param.clone());
-    }
-    if let Some(cache_size) = request.cache_size {
-        analyzer = analyzer.cache_size(cache_size);
-    }
-    for (name, value) in &request.params {
-        analyzer = analyzer.param(name.clone(), *value);
-    }
-
-    // Simulate jobs bypass the result cache entirely: the analysis
-    // fingerprint does not cover the simulation knobs (instance, cache
-    // sizes, policies), so a cached plain-analysis report could neither be
-    // replayed for a simulate request nor stored from one.
-    let fingerprint = match job.simulate {
-        Some(_) => None,
-        None => inner
-            .result_cache
-            .as_ref()
-            .and_then(|_| analyzer.fingerprint(workload.as_ref())),
-    };
-    let fingerprint_hex = fingerprint.map(|fp| fp.to_hex());
-    // `Some` exactly when this request must compute *and* publish (or
-    // abandon, on every non-clean path — including panics, via `Drop`).
-    let mut leader = None;
-    if let (Some(cache), Some(fp)) = (&inner.result_cache, fingerprint) {
-        match cache.claim(fp) {
-            Claim::Hit(hit) | Claim::Coalesced(hit) => {
-                inner.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                let service_ms = started.elapsed().as_secs_f64() * 1e3;
-                inner.metrics.record_service(job.class, service_ms);
-                let timings = ServiceTimings {
-                    queue_ms,
-                    service_ms,
-                    // No driver ran for this request; `session_warm` refers
-                    // to a session it never used.
-                    analysis_ms: 0.0,
-                    session_warm: false,
-                    pool_sessions: inner.pool.len(),
-                    cost_class: job.class.as_str(),
-                };
-                let cache_info = CacheInfo {
-                    cached: true,
-                    fingerprint: fingerprint_hex,
-                };
-                // Cached entries are never degraded (degraded results are
-                // never stored), so the degraded marker is always absent.
-                // Which tier served (memory/disk/coalesced) is visible in
-                // the stats counters.
-                return ok_response(&id, &hit.json, &timings, None, &cache_info);
-            }
-            Claim::Leader(guard) => leader = Some(guard),
-        }
-    }
-
-    let mut engine_config = EngineConfig::default();
-    if let Some(cap) = request.cache_cap {
-        engine_config.cache_capacity = cap;
-    }
-    let checkout = inner.pool.checkout(&engine_config);
-
-    // The engine budget: the client's cancel token, a deadline at 90% of
-    // the client's timeout (so a degraded reply can still reach a client
-    // that is about to stop listening — measured from enqueue, exactly
-    // like the client's own clock), and any explicit `budget` limits.
-    // The class-derived default must match what `handle_analyze` armed.
+    // The engine budget: the client's cancel token and a deadline at 90%
+    // of the client's timeout (so a degraded reply can still reach a
+    // client that is about to stop listening — measured from enqueue,
+    // exactly like the client's own clock). The class-derived default must
+    // match what `handle_analyze` armed.
     let timeout = inner.effective_timeout(request, job.class);
-    let mut budget = Budget::none()
+    let budget = Budget::none()
         .cancel_token(job.cancel.clone())
         .deadline_at(job.enqueued_at + timeout.mul_f64(0.9));
-    if let Some(spec) = &request.budget {
-        if let Some(n) = spec.fm_steps {
-            budget = budget.max_fm_steps(n);
+    let analyzer = request.analyzer(budget).session_pool(inner.pool.clone());
+    let reply = match &job.simulate {
+        None => match &inner.result_cache {
+            Some(cache) => analyzer.result_cache(cache.clone()),
+            None => analyzer,
         }
-        if let Some(n) = spec.constraints {
-            budget = budget.max_constraints(n);
-        }
-        if let Some(n) = spec.cache_entries {
-            budget = budget.max_cache_entries(n);
-        }
-    }
-    let analyzer = analyzer.engine(checkout.engine.clone()).budget(budget);
+        .analyze_cached(workload.as_ref()),
+        // Simulate jobs bypass the result cache: the analysis fingerprint
+        // does not cover the simulation knobs (instance, cache sizes,
+        // policies), so a cached plain-analysis report could neither be
+        // replayed for a simulate request nor stored from one.
+        Some(options) => analyzer
+            .analyze_with_tightness(workload.as_ref(), options)
+            .map(|outcome| AnalysisReply::Computed {
+                outcome: Box::new(outcome),
+                fingerprint: None,
+                published: None,
+            }),
+    };
 
-    let outcome = match &job.simulate {
-        None => analyzer.analyze(workload.as_ref()),
-        Some(spec) => {
-            let mut opts = TightnessOptions::default().opt(spec.opt);
-            if !spec.cache_sizes.is_empty() {
-                opts = opts.cache_sizes(&spec.cache_sizes);
+    let reply = match reply {
+        Ok(reply) => reply,
+        Err(AnalyzeError::Interrupted(interrupt)) => {
+            inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
+            inner
+                .metrics
+                .resource_limited
+                .fetch_add(1, Ordering::Relaxed);
+            if interrupt == EngineInterrupt::Cancelled {
+                inner
+                    .metrics
+                    .cancelled_in_flight
+                    .fetch_add(1, Ordering::Relaxed);
             }
-            if !spec.instance.is_empty() {
-                let mut instance = Instance::new();
-                for (name, value) in &spec.instance {
-                    instance = instance.set(name, *value);
-                }
-                opts = opts.instance(instance);
-            }
-            if let Some(n) = spec.max_trace {
-                opts = opts.max_trace(n);
-            }
-            analyzer.analyze_with_tightness(workload.as_ref(), &opts)
+            // The analyzer dropped the session the interrupt unwound.
+            inner
+                .metrics
+                .sessions_retired
+                .fetch_add(1, Ordering::Relaxed);
+            return protocol::error_response(
+                &id,
+                ERR_RESOURCE_LIMIT,
+                &format!(
+                    "analysis interrupted by the \"{}\" budget before any valid \
+                     bound was proven",
+                    interrupt.code()
+                ),
+            );
+        }
+        Err(AnalyzeError::Workload(e)) => {
+            inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
+            return protocol::error_response(&id, ERR_WORKLOAD, &e.to_string());
         }
     };
 
-    let (response, interrupted) = match outcome {
-        Ok(outcome) => {
-            inner.metrics.completed.fetch_add(1, Ordering::Relaxed);
-            if job.simulate.is_some() && outcome.tightness.is_some() {
+    inner.metrics.completed.fetch_add(1, Ordering::Relaxed);
+    let cache_info = CacheInfo {
+        cached: reply.cached(),
+        fingerprint: reply.fingerprint().map(|fp| fp.to_hex()),
+    };
+    // A cached reply ran no driver (its `session_warm` refers to a session
+    // it never used) and is never degraded: degraded results are never
+    // stored. A computed one hands back its session.
+    let (report_json, analysis_ms, session_warm, degraded, session) = match reply {
+        AnalysisReply::Cached { json, .. } => (json, 0.0, false, None, None),
+        AnalysisReply::Computed {
+            outcome, published, ..
+        } => {
+            if outcome.tightness.is_some() {
                 inner
                     .metrics
                     .simulate_completed
                     .fetch_add(1, Ordering::Relaxed);
             }
-            let service_ms = started.elapsed().as_secs_f64() * 1e3;
-            inner.metrics.record_service(job.class, service_ms);
-            let timings = ServiceTimings {
-                queue_ms,
-                service_ms,
-                analysis_ms: outcome.elapsed.as_secs_f64() * 1e3,
-                session_warm: checkout.warm,
-                pool_sessions: inner.pool.len(),
-                cost_class: job.class.as_str(),
-            };
             let degraded = outcome.report.analysis.degradation.as_ref().map(|d| {
                 inner.metrics.degraded.fetch_add(1, Ordering::Relaxed);
                 if d.interrupt == EngineInterrupt::Cancelled {
@@ -1088,65 +1005,41 @@ fn execute(inner: &Inner, job: &Job, queue_ms: f64) -> String {
                     sweep_total: d.sweep_total,
                 }
             });
-            let interrupted = degraded.is_some();
-            let report_json = outcome.to_json();
-            match leader.take() {
-                // Only full results are published; a degraded leader is
-                // dropped, which wakes its waiters to recompute.
-                Some(guard) if !interrupted => guard.publish(Arc::new(report_json.clone())),
-                _ => {}
-            }
-            let cache_info = CacheInfo {
-                cached: false,
-                fingerprint: fingerprint_hex.clone(),
-            };
+            let json = published.unwrap_or_else(|| Arc::new(outcome.to_json()));
+            let analysis_ms = outcome.elapsed.as_secs_f64() * 1e3;
+            let session = outcome.engine().clone();
             (
-                ok_response(&id, &report_json, &timings, degraded, &cache_info),
-                interrupted,
-            )
-        }
-        Err(AnalyzeError::Interrupted(interrupt)) => {
-            inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            inner
-                .metrics
-                .resource_limited
-                .fetch_add(1, Ordering::Relaxed);
-            if interrupt == EngineInterrupt::Cancelled {
-                inner
-                    .metrics
-                    .cancelled_in_flight
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            (
-                protocol::error_response(
-                    &id,
-                    ERR_RESOURCE_LIMIT,
-                    &format!(
-                        "analysis interrupted by the \"{}\" budget before any valid \
-                         bound was proven",
-                        interrupt.code()
-                    ),
-                ),
-                true,
-            )
-        }
-        Err(AnalyzeError::Workload(e)) => {
-            inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
-            (
-                protocol::error_response(&id, ERR_WORKLOAD, &e.to_string()),
-                false,
+                json,
+                analysis_ms,
+                outcome.session_warm,
+                degraded,
+                Some(session),
             )
         }
     };
-    if interrupted {
+    let service_ms = started.elapsed().as_secs_f64() * 1e3;
+    inner.metrics.record_service(job.class, service_ms);
+    let timings = ServiceTimings {
+        queue_ms,
+        service_ms,
+        analysis_ms,
+        session_warm,
+        pool_sessions: inner.pool.len(),
+        cost_class: job.class.as_str(),
+    };
+    let interrupted = degraded.is_some();
+    let response = ok_response(&id, &report_json, &timings, degraded, &cache_info);
+    match session {
         // Retire the session: the interrupt unwound the engine mid-query,
         // so drop it instead of recycling it back into the pool.
-        inner
-            .metrics
-            .sessions_retired
-            .fetch_add(1, Ordering::Relaxed);
-    } else {
-        inner.pool.checkin(checkout.engine);
+        Some(_) if interrupted => {
+            inner
+                .metrics
+                .sessions_retired
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        Some(session) => inner.pool.checkin(session),
+        None => {}
     }
     response
 }
@@ -1472,6 +1365,33 @@ mod tests {
         s.shutdown();
     }
 
+    /// Asserts that a request whose deadline trips released its client in
+    /// one of the three documented ways: the client stopped waiting first
+    /// (`timeout`), the engine deadline tripped before any valid bound
+    /// existed (`resource_limit`), or it tripped after the input-size bound
+    /// was proven (an ok reply marked `degraded`, naming the budget).
+    fn assert_released(response: &str) {
+        let doc = json::parse(response).unwrap();
+        match doc.get("error") {
+            Some(error) => {
+                let code = error.get("code").unwrap().as_str();
+                assert!(
+                    code == Some(ERR_TIMEOUT) || code == Some(ERR_RESOURCE_LIMIT),
+                    "{response}"
+                );
+            }
+            None => {
+                assert_eq!(
+                    doc.get("degraded"),
+                    Some(&json::Json::Bool(true)),
+                    "{response}"
+                );
+                let tripped = doc.get("budget").and_then(|b| b.get("tripped"));
+                assert!(tripped.and_then(json::Json::as_str).is_some(), "{response}");
+            }
+        }
+    }
+
     #[test]
     fn timeout_releases_the_client() {
         let s = server(ServerConfig {
@@ -1479,17 +1399,11 @@ mod tests {
             ..ServerConfig::default()
         });
         // 1 ms cannot possibly cover a cholesky analysis. The client's
-        // timeout and the server's own 90% deadline race: either the
-        // client stops waiting first (`timeout`) or the engine deadline
-        // trips first and its error reaches the client (`resource_limit`).
-        // Both outcomes release the client immediately.
+        // timeout and the server's own 90% deadline race, and the deadline
+        // may trip before or after the first bound is proven: every outcome
+        // releases the client immediately.
         let response = s.handle_line(r#"{"id": "slow", "kernel": "cholesky", "timeout_ms": 1}"#);
-        let doc = json::parse(&response).unwrap();
-        let code = doc.get("error").unwrap().get("code").unwrap().as_str();
-        assert!(
-            code == Some(ERR_TIMEOUT) || code == Some(ERR_RESOURCE_LIMIT),
-            "{response}"
-        );
+        assert_released(&response);
         s.shutdown();
     }
 
@@ -1505,12 +1419,7 @@ mod tests {
             ..ServerConfig::default()
         });
         let response = s.handle_line(r#"{"id": "hot", "kernel": "heat-3d", "timeout_ms": 100}"#);
-        let doc = json::parse(&response).unwrap();
-        let code = doc.get("error").unwrap().get("code").unwrap().as_str();
-        assert!(
-            code == Some(ERR_TIMEOUT) || code == Some(ERR_RESOURCE_LIMIT),
-            "{response}"
-        );
+        assert_released(&response);
         // Within 10× the budget, a stats probe (answered inline, no worker
         // needed) must show the worker observed the cancellation: either
         // mid-analysis (cancelled_in_flight / resource_limited / degraded)
